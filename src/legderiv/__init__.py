@@ -2,13 +2,13 @@
 
 Closed forms for Pn(z) = [d^n P_nu(z)/d nu^n]_{nu=0}, n = 0..4, built on a
 real-argument polylogarithm/trigamma kernel, together with the numerical
-machinery (hypergeometric-series oracle, finite differences, adaptive
-quadrature) and a verification harness that cross-checks every closed form
-against an independent route.
+machinery (an exact nu-Taylor pass over the hypergeometric series as the
+oracle, finite differences in z, adaptive quadrature) and a verification
+harness that cross-checks every closed form against an independent route.
 """
 
 from .exceptions import ConvergenceError, DomainError
-from .oracle import FDScheme, default_scheme, legendre_p, ode_residual, order_derivative_fd
+from .oracle import legendre_p, ode_residual, order_derivatives
 from .orderderiv import (
     RESOLVED_CONSTANTS,
     EvalPoint,
@@ -45,7 +45,6 @@ __all__ = [
     "EvalPoint",
     "ResolvedConstants",
     "RESOLVED_CONSTANTS",
-    "FDScheme",
     "EndpointFlag",
     "QuadResult",
     "CheckReport",
@@ -62,9 +61,8 @@ __all__ = [
     "dilog_landen",
     "trilog_identity",
     "legendre_p",
-    "order_derivative_fd",
+    "order_derivatives",
     "ode_residual",
-    "default_scheme",
     "integrate",
     "check_closed_forms",
     "check_quadrature_recurrence",

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import click
 
+from . import __version__
 from .exceptions import ConvergenceError, DomainError
 from .orderderiv import p_deriv
 from .verify import run_suite, trigamma_sum, trigamma_sum_target, DEFAULT_SEED, DEFAULT_SUM_TERMS
@@ -84,7 +85,7 @@ def render_table(spec: TableSpec) -> str:
 
 
 @click.group()
-@click.version_option(version="0.1.0", prog_name="legderiv")
+@click.version_option(version=__version__, prog_name="legderiv")
 def main() -> None:
     """Order-derivatives of the Legendre function at degree zero.
 
@@ -134,7 +135,8 @@ def cmd_table(orders: str, z_start: float, z_end: float, steps: int, fmt: str, o
 
 @main.command("verify")
 @click.option("--json", "as_json", is_flag=True, help="Emit the structured report.")
-@click.option("--tol-fd", type=float, default=None, help="Override the FD-comparison tolerances.")
+@click.option("--tol-fd", type=float, default=None,
+              help="Override the oracle-comparison and finite-difference tolerances.")
 @click.option("--tol-identities", type=float, default=None, help="Override the identity tolerance.")
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
 @click.option("--sum-terms", type=int, default=DEFAULT_SUM_TERMS, show_default=True,

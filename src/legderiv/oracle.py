@@ -2,11 +2,13 @@
 
 ``legendre_p`` evaluates P_nu(z) from its hypergeometric series
 
-    P_nu(z) = sum_k (-nu)_k (nu+1)_k / (k!)^2 * ((1-z)/2)^k,   P_nu(1) = 1,
+    P_nu(z) = sum_k c_k(nu) x^k,   c_k(nu) = prod_{j<k} (j-nu)(j+1+nu)/(j+1)^2,
 
-and ``order_derivative_fd`` differentiates it numerically in nu at nu = 0
-with symmetric stencils plus Richardson extrapolation.  ``ode_residual``
-checks the defining differential relation
+with x = (1-z)/2 and P_nu(1) = 1.  ``order_derivatives`` differentiates that
+series exactly in nu at nu = 0: each c_k is a polynomial in nu, so carrying
+it as its Taylor coefficients through nu^4 (Taylor-mode differentiation)
+gives P0..P4 in one pass, with no step size.  ``ode_residual`` checks the
+defining differential relation
 
     d/dz[(1-z^2) dPn/dz] = -n P_{n-1} - n(n-1) P_{n-2}
 
@@ -15,53 +17,20 @@ for the closed forms, entirely via finite differences in z.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-
 from .exceptions import ConvergenceError, DomainError
 from .orderderiv import p_deriv
 
-__all__ = ["FDScheme", "legendre_p", "order_derivative_fd", "ode_residual"]
+__all__ = ["legendre_p", "order_derivatives", "ode_residual"]
 
 _SERIES_CAP = 100_000
 _Z_FLOOR = -0.9  # series ratio (1-z)/2 reaches 0.95 here; trust ends
-
-
-@dataclass(frozen=True)
-class FDScheme:
-    """Symmetric finite-difference stencil in nu with Richardson levels."""
-
-    stencil: int
-    h: float
-    richardson_levels: int
-
-    def __post_init__(self) -> None:
-        if self.stencil < 5 or self.stencil % 2 == 0:
-            raise DomainError(f"stencil must be an odd integer >= 5, got {self.stencil}")
-        if not self.h > 0.0:
-            raise DomainError(f"step h must be positive, got {self.h!r}")
-        if self.richardson_levels < 0:
-            raise DomainError("richardson_levels must be >= 0")
-
-    def supports(self, order: int) -> bool:
-        return self.stencil >= order + 1
-
-
-def default_scheme(order: int) -> FDScheme:
-    # order+3 points, rounded up to the next odd count.
-    points = order + 3
-    if points % 2 == 0:
-        points += 1
-    return FDScheme(stencil=points, h=0.05, richardson_levels=2)
+_FACTORIALS = (1.0, 1.0, 2.0, 6.0, 24.0)
 
 
 def legendre_p(nu: float, z: float, max_terms: int = _SERIES_CAP) -> float:
     """Legendre function of the first kind P_nu(z), |nu| <= 4, z in (-0.9, 1].
 
-    Integer nu terminates the series exactly (Legendre polynomials); the
-    finite-difference machinery only ever samples |nu| <= 1.
+    Integer nu terminates the series exactly (Legendre polynomials).
     """
     if not abs(nu) <= 4.0:
         raise DomainError(f"legendre_p expects |nu| <= 4, got {nu!r}")
@@ -83,74 +52,39 @@ def legendre_p(nu: float, z: float, max_terms: int = _SERIES_CAP) -> float:
     raise ConvergenceError(f"hypergeometric series for P_nu did not converge in {max_terms} terms")
 
 
-@lru_cache(maxsize=None)
-def _central_weights(points: int, order: int) -> tuple[float, ...]:
-    """Weights w_i on offsets -m..m with sum_i w_i o_i^j = delta_{j,order} * order!.
+def order_derivatives(
+    z: float, max_terms: int = _SERIES_CAP
+) -> tuple[float, float, float, float, float]:
+    """(P0, P1, P2, P3, P4) with Pn = [d^n P_nu(z)/d nu^n] at nu = 0, z in (-0.9, 1].
 
-    Solved exactly over the rationals, then rounded once to double.
+    Runs the term recurrence of ``legendre_p`` with each term held as its
+    Taylor coefficients in nu through degree 4 and returns n! times the
+    summed nu^n coefficient.
     """
-    m = points // 2
-    offsets = list(range(-m, m + 1))
-    n = len(offsets)
-    aug = [
-        [Fraction(o) ** j for o in offsets] + [Fraction(math.factorial(order)) if j == order else Fraction(0)]
-        for j in range(n)
-    ]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1, 1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [rv - factor * cv for rv, cv in zip(aug[r], aug[col])]
-    return tuple(float(row[n]) for row in aug)
-
-
-def _leading_error_order(points: int, order: int) -> int:
-    # Symmetric stencils are exact one degree beyond the moment count when
-    # parity permits, so the leading truncation order is always even.
-    p = points - order
-    return p if p % 2 == 0 else p + 1
-
-
-def order_derivative_fd(
-    n: int, z: float, scheme: FDScheme | None = None
-) -> tuple[float, float]:
-    """n-th derivative of P_nu(z) in nu at nu = 0, with an error estimate.
-
-    Returns ``(value, abs_error_estimate)``.  n must be 1..4.
-    """
-    if not 1 <= n <= 4:
-        raise DomainError(f"derivative order must be 1..4, got {n!r}")
-    if scheme is None:
-        scheme = default_scheme(n)
-    if not scheme.supports(n):
-        raise DomainError(f"stencil of {scheme.stencil} points cannot form derivative {n}")
-
-    weights = _central_weights(scheme.stencil, n)
-    m = scheme.stencil // 2
-
-    def raw(h: float) -> float:
-        acc = 0.0
-        for i, w in enumerate(weights):
-            if w == 0.0:
-                continue
-            acc += w * legendre_p((i - m) * h, z)
-        return acc / h**n
-
-    levels = scheme.richardson_levels
-    base = [raw(scheme.h / 2.0**l) for l in range(max(levels, 1) + 1)]
-    p0 = _leading_error_order(scheme.stencil, n)
-    table = list(base)
-    for j in range(1, levels + 1):
-        factor = 2.0 ** (p0 + 2 * (j - 1))
-        for i in range(len(table) - 1, j - 1, -1):
-            table[i] = (factor * table[i] - table[i - 1]) / (factor - 1.0)
-    if levels == 0:
-        return base[0], abs(base[0] - base[1])
-    return table[-1], abs(table[-1] - table[-2]) + 1e-15 * abs(table[-1])
+    if not _Z_FLOOR < z <= 1.0:
+        raise DomainError(f"order_derivatives expects z in ({_Z_FLOOR}, 1], got {z!r}")
+    x = 0.5 * (1.0 - z)
+    term = [1.0, 0.0, 0.0, 0.0, 0.0]
+    total = list(term)
+    tiny_streak = 0
+    for k in range(max_terms):
+        # Multiply by (k - nu)(k + 1 + nu) = k(k+1) - nu - nu^2, then x/(k+1)^2.
+        kk = k * (k + 1.0)
+        scale = x / ((k + 1.0) * (k + 1.0))
+        term = [
+            scale * (kk * c - c1 - c2)
+            for c, c1, c2 in zip(term, [0.0] + term[:4], [0.0, 0.0] + term[:3])
+        ]
+        total = [s + c for s, c in zip(total, term)]
+        if all(abs(c) <= 1e-17 * abs(s) + 1e-300 for c, s in zip(term, total)):
+            tiny_streak += 1
+            if tiny_streak >= 2:
+                return tuple(f * s for f, s in zip(_FACTORIALS, total))
+        else:
+            tiny_streak = 0
+    raise ConvergenceError(
+        f"nu-Taylor series for the order-derivatives did not converge in {max_terms} terms"
+    )
 
 
 def ode_residual(n: int, z: float, dz: float) -> float:

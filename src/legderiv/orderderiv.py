@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .exceptions import DomainError
-from .polylog import polylog, zeta_const
+from .polylog import as_order, polylog, zeta_const
 
 __all__ = [
     "EvalPoint",
@@ -63,13 +63,12 @@ class EvalPoint:
 
 @dataclass(frozen=True)
 class ResolvedConstants:
-    """Integration constants of the fourth order-derivative, pinned by P4(1) = 0.
+    """Integration constant of the fourth order-derivative, pinned by P4(1) = 0.
 
-    C multiplies ln((1+z)/(1-z)) and must vanish for P4 to stay finite at
-    z = 1; Cprime is the remaining additive constant.
+    The constant multiplying ln((1+z)/(1-z)) must vanish for P4 to stay
+    finite at z = 1, so only the additive constant Cprime remains.
     """
 
-    C: float = 0.0
     Cprime: float = _PI4 / 15.0
 
 
@@ -99,8 +98,7 @@ def p_deriv(n: int, z: "float | EvalPoint") -> float:
     Accepts a plain float or an EvalPoint.  Pn(1) is exactly 0 for n >= 1
     and exactly 1 for n = 0.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= 4:
-        raise DomainError(f"derivative order must be an integer in 0..4, got {n!r}")
+    n = as_order(n, 0, 4, "derivative order")
     z = _check_z(n, z)
     if n == 0:
         return 1.0

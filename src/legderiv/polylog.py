@@ -25,6 +25,7 @@ themselves near x = (sqrt(5)-1)/2.
 from __future__ import annotations
 
 import math
+import operator
 
 from .exceptions import DomainError
 
@@ -74,9 +75,20 @@ def zeta_const(s: int) -> float:
     raise DomainError(f"zeta_const defined for s in 2..5, got {s!r}")
 
 
-def _check_order(s: int) -> None:
-    if isinstance(s, bool) or not isinstance(s, int) or not 1 <= s <= 5:
-        raise DomainError(f"polylogarithm order must be an integer in 1..5, got {s!r}")
+def as_order(value: object, lo: int, hi: int, what: str) -> int:
+    """``value`` as a plain int in lo..hi; any integer-like type but bool.
+
+    Raises DomainError otherwise.
+    """
+    if not isinstance(value, bool):
+        try:
+            order = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if lo <= order <= hi:
+                return order
+    raise DomainError(f"{what} must be an integer in {lo}..{hi}, got {value!r}")
 
 
 def _series(s: int, x: float) -> float:
@@ -159,7 +171,7 @@ def polylog(s: int, x: float) -> float:
 
     Raises DomainError for x > 1 and for the divergent point (s=1, x=1).
     """
-    _check_order(s)
+    s = as_order(s, 1, 5, "polylogarithm order")
     x = float(x)
     if math.isnan(x) or x > 1.0:
         raise DomainError(f"polylog requires x <= 1, got {x!r}")

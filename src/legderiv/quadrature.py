@@ -57,7 +57,10 @@ class QuadResult:
 
 
 def _gk15_panel(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """Gauss-Kronrod 7/15 on [lo, hi]; returns (kronrod, |kronrod - gauss|)."""
+    """Gauss-Kronrod 7/15 on [lo, hi]; returns (kronrod, |kronrod - gauss|).
+
+    Raises ConvergenceError when either is not finite.
+    """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     gauss = 0.0
@@ -72,7 +75,13 @@ def _gk15_panel(f: Callable[[float], float], lo: float, hi: float) -> tuple[floa
         f_lo = f(mid - half * node)
         gauss += wg * (f_hi + f_lo)
         kronrod += wk * (f_hi + f_lo)
-    return half * kronrod, abs(half * (kronrod - gauss))
+    value, err = half * kronrod, abs(half * (kronrod - gauss))
+    # A NaN estimate would end the refinement loop as if converged.
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise ConvergenceError(
+            f"non-finite quadrature panel (value {value!r}, error estimate {err!r})"
+        )
+    return value, err
 
 
 def _stretched_tasks(
@@ -101,7 +110,6 @@ def _stretched_tasks(
         return g
 
     if flags.lower_singular and flags.upper_singular:
-        mid = a + 0.5 * span
         return (from_lower(a, 0.5 * span), from_upper(b, 0.5 * span))
     if flags.lower_singular:
         return (from_lower(a, span),)
@@ -122,7 +130,8 @@ def integrate(
 
     The integrand must be evaluable on the open interval; it is never
     called at a or b.  Raises ConvergenceError if ``max_panels`` panels do
-    not bring the error estimate under ``tol``.
+    not bring the error estimate under ``tol``, or if a panel's value or
+    error estimate is not finite.
     """
     if not a < b:
         raise DomainError(f"integration bounds must satisfy a < b, got {a!r}, {b!r}")

@@ -2,7 +2,7 @@
 series value the closed forms rest on, checked against an independent route.
 
 Checks come in two strengths.  *Required* checks gate ``all_passed``:
-closed forms vs. the finite-difference oracle, the differential
+closed forms vs. the exact nu-Taylor oracle, the differential
 recurrence, the di/trilogarithm identities, the first two first-integrals,
 two of the three long antiderivative displays, the inner-integral
 cancellation, the endpoint limits and the trigamma sums.  *Informational*
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from .exceptions import DomainError
-from .oracle import ode_residual, order_derivative_fd
+from .oracle import ode_residual, order_derivatives
 from .orderderiv import (
     first_integral,
     frak_I,
@@ -61,10 +61,10 @@ _CANCELLATION_GRID = (-0.9, -0.7, -0.5, -0.3, -0.1, 0.1, 0.3, 0.5, 0.7, 0.9)
 
 _DEFAULT_TOLS: dict[str, float] = {
     "normalization": 1e-12,
-    "fd_n1": 1e-7,
-    "fd_n2": 1e-7,
-    "fd_n3": 1e-5,
-    "fd_n4": 1e-3,
+    "fd_n1": 1e-12,
+    "fd_n2": 1e-12,
+    "fd_n3": 1e-12,
+    "fd_n4": 1e-12,
     "ode_n1": 1e-6,
     "ode_n2": 1e-6,
     "ode_n3": 1e-6,
@@ -199,8 +199,8 @@ def _derivative(fn: Callable[[float], float], x: float, h_base: float = 1e-5) ->
 
 
 def check_closed_forms(tols: Mapping[str, float] | None = None) -> list[CheckResult]:
-    """Compare p_deriv against the finite-difference oracle on the fixed grid,
-    and pin the normalization values at z = 1."""
+    """Compare p_deriv against the nu-Taylor oracle on the fixed grid, and pin
+    the normalization values at z = 1."""
     t = resolve_tolerances(tols)
     results = []
 
@@ -215,14 +215,14 @@ def check_closed_forms(tols: Mapping[str, float] | None = None) -> list[CheckRes
         )
     )
 
+    oracle = [order_derivatives(z) for z in _FD_GRID]
     for n in range(1, 5):
         key = f"fd_n{n}"
         devs = []
         scale = 0.0
-        for z in _FD_GRID:
-            oracle_value, _ = order_derivative_fd(n, z)
-            devs.append(abs(p_deriv(n, z) - oracle_value))
-            scale = max(scale, abs(oracle_value))
+        for z, values in zip(_FD_GRID, oracle):
+            devs.append(abs(p_deriv(n, z) - values[n]))
+            scale = max(scale, abs(values[n]))
         results.append(
             _result(f"closed-form-fd-n{n}", devs, scale, t[key], _DEFAULT_TOLS[key])
         )
@@ -506,8 +506,7 @@ def check_appendix_a(
     offsets = []
     for z in (-0.5, 0.3, 0.8):
         stripped = p_deriv(4, z) - 24.0 * math.pi**4 / 36.0
-        oracle_value, _ = order_derivative_fd(4, z)
-        offsets.append(stripped - oracle_value)
+        offsets.append(stripped - order_derivatives(z)[4])
     spread = max(offsets) - min(offsets)
     results.append(
         _result(

@@ -6,12 +6,19 @@ import math
 import pytest
 from click.testing import CliRunner
 
+from legderiv import __version__
 from legderiv.cli import main
 
 
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+def test_version(runner):
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0
+    assert result.output == f"legderiv, version {__version__}\n"
 
 
 class TestEval:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import eval_legendre
@@ -9,11 +10,9 @@ from scipy.special import eval_legendre
 from legderiv import (
     ConvergenceError,
     DomainError,
-    FDScheme,
-    default_scheme,
     legendre_p,
     ode_residual,
-    order_derivative_fd,
+    order_derivatives,
     p_deriv,
     polylog,
 )
@@ -75,54 +74,52 @@ class TestLegendreSeries:
             legendre_p(0.5, -0.85, max_terms=5)
 
 
+MPMATH_POINTS = (-0.5, 0.0, 0.5, 0.9, 0.99) + tuple(1.0 - 10.0**-k for k in range(1, 16))
+
+
 class TestOrderDerivativeFD:
+    """order_derivatives, the oracle behind the closed-form-fd-n* checks."""
+
     def test_first_derivative_at_origin(self):
-        value, err = order_derivative_fd(1, 0.0)
-        assert value == pytest.approx(-math.log(2.0), abs=1e-8)
-        assert err < 1e-8
+        assert order_derivatives(0.0)[1] == pytest.approx(-math.log(2.0), rel=1e-15)
 
     def test_second_derivative_matches_dilog(self):
-        value, _ = order_derivative_fd(2, 0.5)
-        assert value == pytest.approx(-2.0 * polylog(2, 0.25), abs=1e-7)
+        assert order_derivatives(0.5)[2] == pytest.approx(-2.0 * polylog(2, 0.25), rel=1e-14)
 
     def test_fourth_derivative_at_one(self):
-        value, _ = order_derivative_fd(4, 1.0)
-        assert value == pytest.approx(0.0, abs=1e-4)
-
-    def test_error_estimate_tracks_true_error(self):
-        for n, z, tol in ((1, 0.3, 1e-7), (2, -0.2, 1e-7), (3, 0.6, 1e-5), (4, 0.0, 1e-3)):
-            value, err = order_derivative_fd(n, z)
-            assert abs(value - p_deriv(n, z)) <= max(tol, 50.0 * err)
+        assert order_derivatives(1.0) == (1, 0, 0, 0, 0)
 
     def test_grid_agreement_with_closed_forms(self):
-        tol = {1: 1e-7, 2: 1e-7, 3: 1e-5, 4: 1e-3}
-        for n in (1, 2, 3, 4):
-            for z in (-0.5, 0.0, 0.5, 0.9, 0.99):
-                value, _ = order_derivative_fd(n, z)
-                assert value == pytest.approx(p_deriv(n, z), abs=tol[n]), (n, z)
+        for z in (-0.5, 0.0, 0.5, 0.9, 0.99):
+            values = order_derivatives(z)
+            assert values[0] == 1.0
+            for n in (1, 2, 3, 4):
+                assert values[n] == pytest.approx(p_deriv(n, z), abs=1e-12), (n, z)
 
-    def test_custom_scheme(self):
-        scheme = FDScheme(stencil=9, h=0.04, richardson_levels=1)
-        value, _ = order_derivative_fd(2, 0.0, scheme)
-        assert value == pytest.approx(p_deriv(2, 0.0), abs=1e-7)
+    def test_against_mpmath(self):
+        for z in MPMATH_POINTS:
+            values = order_derivatives(z)
+            for n in (1, 2, 3, 4):
+                with mp.workdps(50):
+                    ref = mp.diff(lambda nu: mp.legenp(nu, 0, mp.mpf(z), type=2), 0, n)
+                    rel = float(abs((values[n] - ref) / ref))
+                assert rel <= 1e-14, (n, z, rel)
 
-    def test_scheme_validation(self):
-        with pytest.raises(DomainError):
-            FDScheme(stencil=4, h=0.05, richardson_levels=2)
-        with pytest.raises(DomainError):
-            FDScheme(stencil=3, h=0.05, richardson_levels=2)
-        with pytest.raises(DomainError):
-            FDScheme(stencil=7, h=-0.1, richardson_levels=2)
-        with pytest.raises(DomainError):
-            FDScheme(stencil=7, h=0.05, richardson_levels=-1)
-        with pytest.raises(DomainError):
-            order_derivative_fd(5, 0.0)
+    @pytest.mark.parametrize("nu", [1e-2, -1e-2])
+    def test_taylor_sum_matches_series(self, nu):
+        for z in (-0.85, -0.3, 0.2, 0.7, 0.99):
+            values = order_derivatives(z)
+            taylor = sum(v * nu**n / math.factorial(n) for n, v in enumerate(values))
+            assert taylor == pytest.approx(legendre_p(nu, z), abs=1e-9), z
 
-    def test_default_scheme_shape(self):
-        assert default_scheme(1).stencil == 5
-        assert default_scheme(2).stencil == 5
-        assert default_scheme(3).stencil == 7
-        assert default_scheme(4).stencil == 7
+    def test_domain(self):
+        for z in (-0.9, 1.1, float("nan")):
+            with pytest.raises(DomainError):
+                order_derivatives(z)
+
+    def test_term_cap(self):
+        with pytest.raises(ConvergenceError):
+            order_derivatives(-0.85, max_terms=5)
 
 
 class TestOdeResidual:

@@ -23,7 +23,7 @@ from legderiv import (
     frak_I_limit,
     inner_integral_I,
     integrate,
-    order_derivative_fd,
+    order_derivatives,
     p_deriv,
     polylog,
     trilog_identity,
@@ -82,8 +82,11 @@ class TestPDeriv:
         assert p_deriv(4, z) == pytest.approx(expected, abs=1e-12)
 
     def test_fourth_order_against_fd_oracle_at_origin(self):
-        value, _ = order_derivative_fd(4, 0.0)
-        assert p_deriv(4, 0.0) == pytest.approx(value, abs=1e-3)
+        assert p_deriv(4, 0.0) == pytest.approx(order_derivatives(0.0)[4], abs=1e-12)
+
+    def test_integer_like_order(self):
+        for n in range(5):
+            assert p_deriv(np.int64(n), 0.3) == p_deriv(n, 0.3)
 
     def test_no_nan_near_one(self):
         for z in (1.0 - 2.0**-k for k in range(1, 40)):
@@ -99,6 +102,9 @@ class TestPDeriv:
             p_deriv(5, 0.0)
         with pytest.raises(DomainError):
             p_deriv(-1, 0.0)
+        for n in (2.0, True):
+            with pytest.raises(DomainError):
+                p_deriv(n, 0.0)
         with pytest.raises(DomainError):
             p_deriv(2, float("nan"))
         assert p_deriv(0, -1.0) == 1.0  # constant order tolerates the endpoint
@@ -124,7 +130,6 @@ class TestResolvedConstants:
     def test_pinned_values(self):
         from legderiv import RESOLVED_CONSTANTS
 
-        assert RESOLVED_CONSTANTS.C == 0.0
         assert RESOLVED_CONSTANTS.Cprime == PI**4 / 15.0
 
 

@@ -178,9 +178,13 @@ class TestPolylogDomain:
             polylog(1, 1.0)
 
     def test_rejects_bad_order(self):
-        for s in (0, 6, -2, 2.5, True):
+        for s in (0, 6, -2, 2.5, 2.0, True, np.int64(6)):
             with pytest.raises(DomainError):
                 polylog(s, 0.5)
+
+    def test_accepts_integer_like_order(self):
+        for s in (1, 2, 3, 4, 5):
+            assert polylog(np.int64(s), 0.3) == polylog(s, 0.3)
 
     def test_rejects_nan(self):
         with pytest.raises(DomainError):

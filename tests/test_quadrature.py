@@ -91,6 +91,15 @@ class TestContracts:
         with pytest.raises(ConvergenceError):
             integrate(f, 0.0, 1.0, tol=1e-10, max_panels=8)
 
+    def test_nan_integrand_raises(self):
+        with pytest.raises(ConvergenceError):
+            integrate(lambda x: math.nan, 0.0, 1.0)
+
+    def test_overflowing_integrand_raises(self):
+        # 1/x overflows once bisection crowds nodes against the lower end
+        with pytest.raises(ConvergenceError):
+            integrate(lambda x: 1.0 / x if x else math.inf, 0.0, 1.0)
+
     def test_determinism(self):
         f = lambda x: math.sin(3.0 * x) / (1.0 + x)
         first = integrate(f, 0.0, 2.0)
