@@ -10,9 +10,6 @@ harness that cross-checks every closed form against an independent route.
 from .exceptions import ConvergenceError, DomainError
 from .oracle import legendre_p, ode_residual, order_derivatives
 from .orderderiv import (
-    RESOLVED_CONSTANTS,
-    EvalPoint,
-    ResolvedConstants,
     dilog_landen,
     dilog_reflection,
     first_integral,
@@ -42,9 +39,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceError",
     "DomainError",
-    "EvalPoint",
-    "ResolvedConstants",
-    "RESOLVED_CONSTANTS",
     "EndpointFlag",
     "QuadResult",
     "CheckReport",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from .exceptions import ConvergenceError, DomainError
 from .orderderiv import p_deriv
+from .polylog import as_order
 
 __all__ = ["legendre_p", "order_derivatives", "ode_residual"]
 
@@ -94,8 +95,7 @@ def ode_residual(n: int, z: float, dz: float) -> float:
     come from fourth-order five-point stencils, which keeps the roundoff
     floor well under the dz^2 level a nested first-difference would have.
     """
-    if not 1 <= n <= 4:
-        raise DomainError(f"derivative order must be 1..4, got {n!r}")
+    n = as_order(n, 1, 4, "derivative order")
     if not dz > 0.0:
         raise DomainError(f"dz must be positive, got {dz!r}")
     if not (-1.0 < z - 2.0 * dz and z + 2.0 * dz <= 1.0):

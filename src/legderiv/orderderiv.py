@@ -23,15 +23,11 @@ is a hard domain error rather than an infinity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .exceptions import DomainError
 from .polylog import as_order, polylog, zeta_const
 
 __all__ = [
-    "EvalPoint",
-    "ResolvedConstants",
-    "RESOLVED_CONSTANTS",
     "p_deriv",
     "inner_integral_I",
     "frak_I",
@@ -46,38 +42,7 @@ _PI2 = math.pi**2
 _PI4 = math.pi**4
 
 
-@dataclass(frozen=True)
-class EvalPoint:
-    """Argument z in (-1, 1] with its half-shifted companion t = (1+z)/2."""
-
-    z: float
-    t: float
-
-    @classmethod
-    def from_z(cls, z: float) -> "EvalPoint":
-        z = float(z)
-        if not -1.0 < z <= 1.0:
-            raise DomainError(f"argument must lie in (-1, 1], got {z!r}")
-        return cls(z=z, t=0.5 * (1.0 + z))
-
-
-@dataclass(frozen=True)
-class ResolvedConstants:
-    """Integration constant of the fourth order-derivative, pinned by P4(1) = 0.
-
-    The constant multiplying ln((1+z)/(1-z)) must vanish for P4 to stay
-    finite at z = 1, so only the additive constant Cprime remains.
-    """
-
-    Cprime: float = _PI4 / 15.0
-
-
-RESOLVED_CONSTANTS = ResolvedConstants()
-
-
-def _check_z(n: int, z: "float | EvalPoint") -> float:
-    if isinstance(z, EvalPoint):
-        z = z.z
+def _check_z(n: int, z: float) -> float:
     z = float(z)
     if math.isnan(z):
         raise DomainError("argument is NaN")
@@ -92,11 +57,13 @@ def _check_z(n: int, z: "float | EvalPoint") -> float:
     return z
 
 
-def p_deriv(n: int, z: "float | EvalPoint") -> float:
+def p_deriv(n: int, z: float) -> float:
     """Order-derivative Pn(z) for n in 0..4, z in (-1, 1] (open at -1).
 
-    Accepts a plain float or an EvalPoint.  Pn(1) is exactly 0 for n >= 1
-    and exactly 1 for n = 0.
+    Pn(1) is exactly 0 for n >= 1 and exactly 1 for n = 0.  The P4
+    integration constants are pinned by P4(1) = 0: the coefficient of
+    ln((1+z)/(1-z)) must vanish for P4 to stay finite at z = 1, which
+    leaves only the additive constant pi^4/15.
     """
     n = as_order(n, 0, 4, "derivative order")
     z = _check_z(n, z)
@@ -130,10 +97,10 @@ def p_deriv(n: int, z: "float | EvalPoint") -> float:
     row3 = lt * lu * (li2t - _PI2 / 2.0 - lu * lu / 3.0 + lt * lu)
     # The +pi^4/36 completes the bracket so that it vanishes at t = 1,
     # which is what pins the overall constant to pi^4/15.
-    return RESOLVED_CONSTANTS.Cprime + 24.0 * (row1 + row2 + row3 + _PI4 / 36.0)
+    return _PI4 / 15.0 + 24.0 * (row1 + row2 + row3 + _PI4 / 36.0)
 
 
-def inner_integral_I(z: "float | EvalPoint") -> float:
+def inner_integral_I(z: float) -> float:
     """The inner integral I(z) = int_{-1}^{z} [P3 + 3 P2] dz' = (1+z) P3(z).
 
     I(1) = 0 (the P3 bracket vanishes there) and I(z) -> 0 as z -> -1+,
@@ -188,7 +155,7 @@ def frak_I_limit(endpoint: int) -> float:
     raise DomainError(f"endpoint must be 0 or 1, got {endpoint!r}")
 
 
-def first_integral(eta: int, z: "float | EvalPoint", li_order: int = 2) -> float:
+def first_integral(eta: int, z: float, li_order: int = 2) -> float:
     """First integrals int^z P_eta dz' for eta in {1, 2, 3}, as closed forms.
 
     The eta = 3 form contains a polylogarithm whose order is ambiguous in

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 
 from .exceptions import DomainError
 
@@ -75,7 +76,7 @@ def zeta_const(s: int) -> float:
     raise DomainError(f"zeta_const defined for s in 2..5, got {s!r}")
 
 
-def as_order(value: object, lo: int, hi: int, what: str) -> int:
+def as_order(value: object, lo: int, hi: float, what: str) -> int:
     """``value`` as a plain int in lo..hi; any integer-like type but bool.
 
     Raises DomainError otherwise.
@@ -169,12 +170,13 @@ def polylog(s: int, x: float) -> float:
     Accurate to ~1e-13 relative on |x| <= 1 and ~1e-12 for x < -1.
     Li_1 is returned in closed form, -ln(1-x).
 
-    Raises DomainError for x > 1 and for the divergent point (s=1, x=1).
+    Raises DomainError for x > 1, for non-finite x and for the divergent
+    point (s=1, x=1).
     """
     s = as_order(s, 1, 5, "polylogarithm order")
     x = float(x)
-    if math.isnan(x) or x > 1.0:
-        raise DomainError(f"polylog requires x <= 1, got {x!r}")
+    if not -math.inf < x <= 1.0:
+        raise DomainError(f"polylog requires finite x <= 1, got {x!r}")
     if s == 1:
         if x == 1.0:
             raise DomainError("Li_1(1) diverges")
@@ -195,6 +197,7 @@ def polylog(s: int, x: float) -> float:
 # Psi'(x) ~ 1/x + 1/(2x^2) + sum_j B_2j / x^(2j+1); truncating after B_12
 # leaves |error| < |B_14| / x^15 < 4e-20 once x >= 20.
 _TRIGAMMA_SHIFT = 20.0
+_TRIGAMMA_MAX = sys.float_info.max
 _BERNOULLI_TERMS = (
     1.0 / 6.0,
     -1.0 / 30.0,
@@ -219,13 +222,14 @@ def _trigamma_asymptotic(x: float) -> float:
 def trigamma(k: int) -> float:
     """Trigamma Psi'(k) = sum_{j>=0} 1/(k+j)^2 for integer k >= 1.
 
-    Recurrence Psi'(k) = Psi'(k+1) + 1/k^2 shifts the argument to >= 20,
-    where the asymptotic expansion is accurate to well below 1e-13 relative.
+    Accepts any integer-like type but bool, up to the largest k that
+    converts to a finite float.  Recurrence Psi'(k) = Psi'(k+1) + 1/k^2
+    shifts the argument to >= 20, where the asymptotic expansion is
+    accurate to well below 1e-13 relative.
     """
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise DomainError(f"trigamma requires a positive integer, got {k!r}")
-    if k <= 0:
-        raise DomainError(f"trigamma requires k >= 1, got {k}")
+    # The plain-int test keeps the hot path as cheap as two isinstance calls.
+    if type(k) is not int or not 0 < k <= _TRIGAMMA_MAX:
+        k = as_order(k, 1, _TRIGAMMA_MAX, "trigamma argument")
     x = float(k)
     total = 0.0
     while x < _TRIGAMMA_SHIFT:

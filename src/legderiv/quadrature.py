@@ -135,8 +135,8 @@ def integrate(
     """
     if not a < b:
         raise DomainError(f"integration bounds must satisfy a < b, got {a!r}, {b!r}")
-    if tol < _MIN_TOL:
-        raise DomainError(f"tolerance below supported floor {_MIN_TOL:g}: {tol!r}")
+    if not tol >= _MIN_TOL:  # also rejects NaN, which would end refinement at once
+        raise DomainError(f"tolerance must be at least {_MIN_TOL:g}, got {tol!r}")
 
     heap: list[tuple[float, int, float, float, float, Callable[[float], float]]] = []
     counter = 0

@@ -12,6 +12,11 @@ derivative defect), the Li_2(t)^2 antiderivative, the sign variant of the
 frak_I display, and the bracket constant of the fourth derivative.
 Nothing is silently corrected; defects are measured and reported.
 
+Each result gates on one tolerance key of ``_DEFAULT_TOLS``.  Callers may
+override two groups of keys: ``"fd"`` (the oracle comparisons, the first
+integrals and the antiderivatives; the CLI's ``--tol-fd``) and
+``"identities"`` (the polylogarithm identities; ``--tol-identities``).
+
 Reports are deterministic for a fixed config: sample points come from a
 seeded generator and serialization uses a fixed key order.
 """
@@ -36,7 +41,7 @@ from .orderderiv import (
     dilog_reflection,
     trilog_identity,
 )
-from .polylog import polylog, trigamma, zeta_const
+from .polylog import as_order, polylog, trigamma, zeta_const
 from .quadrature import EndpointFlag, integrate
 
 __all__ = [
@@ -79,13 +84,10 @@ _DEFAULT_TOLS: dict[str, float] = {
     "p4_composition": 1e-10,
 }
 
-# Convenience override groups accepted by run_suite / the CLI.
+# The only override groups: the ones the CLI sets.
 _TOL_GROUPS: dict[str, tuple[str, ...]] = {
     "fd": ("fd_n1", "fd_n2", "fd_n3", "fd_n4", "first_integral", "antiderivative"),
-    "ode": ("ode_n1", "ode_n2", "ode_n3", "ode_n4"),
     "identities": ("identities",),
-    "quadrature": ("inner_integral_quad", "frak_quad"),
-    "sum": ("sum",),
 }
 
 
@@ -146,15 +148,20 @@ class CheckReport:
 
 
 def resolve_tolerances(tol_overrides: Mapping[str, float] | None) -> dict[str, float]:
+    """Every tolerance key, with the ``"fd"`` and ``"identities"`` group
+    overrides applied.  Raises DomainError for any other override key and
+    for a value that is not positive and finite (the report is JSON)."""
     tols = dict(_DEFAULT_TOLS)
-    for key, value in (tol_overrides or {}).items():
-        if key in _TOL_GROUPS:
-            for member in _TOL_GROUPS[key]:
-                tols[member] = float(value)
-        elif key in tols:
-            tols[key] = float(value)
-        else:
-            raise DomainError(f"unknown tolerance key {key!r}")
+    for group, value in (tol_overrides or {}).items():
+        if group not in _TOL_GROUPS:
+            raise DomainError(
+                f"unknown tolerance group {group!r}; expected one of {sorted(_TOL_GROUPS)}"
+            )
+        value = float(value)
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"tolerance {group!r} must be positive and finite, got {value!r}")
+        for key in _TOL_GROUPS[group]:
+            tols[key] = value
     return tols
 
 
@@ -162,8 +169,8 @@ def _result(
     check_id: str,
     deviations: Iterable[float],
     scale: float,
-    tol: float,
-    default_tol: float,
+    tols: Mapping[str, float],
+    key: str,
     note: str = "",
     required: bool = True,
     sample_count: int | None = None,
@@ -171,6 +178,8 @@ def _result(
     devs = list(deviations)
     max_abs = max(devs) if devs else 0.0
     max_rel = max_abs / scale if scale > 0.0 else max_abs
+    tol = tols[key]
+    default_tol = _DEFAULT_TOLS[key]
     passed = max_abs <= tol or max_rel <= tol
     if not passed and (max_abs <= default_tol or max_rel <= default_tol):
         extra = f"tolerance-bound: deviation within default tolerance {default_tol:g}"
@@ -198,34 +207,23 @@ def _derivative(fn: Callable[[float], float], x: float, h_base: float = 1e-5) ->
 # --- closed forms vs. the nu-derivative oracle ----------------------------
 
 
-def check_closed_forms(tols: Mapping[str, float] | None = None) -> list[CheckResult]:
+def check_closed_forms(tol_overrides: Mapping[str, float] | None = None) -> list[CheckResult]:
     """Compare p_deriv against the nu-Taylor oracle on the fixed grid, and pin
     the normalization values at z = 1."""
-    t = resolve_tolerances(tols)
+    tols = resolve_tolerances(tol_overrides)
     results = []
 
     norm_devs = [abs(p_deriv(0, 1.0) - 1.0)] + [abs(p_deriv(n, 1.0)) for n in range(1, 5)]
-    results.append(
-        _result(
-            "closed-form-normalization",
-            norm_devs,
-            1.0,
-            t["normalization"],
-            _DEFAULT_TOLS["normalization"],
-        )
-    )
+    results.append(_result("closed-form-normalization", norm_devs, 1.0, tols, "normalization"))
 
     oracle = [order_derivatives(z) for z in _FD_GRID]
     for n in range(1, 5):
-        key = f"fd_n{n}"
         devs = []
         scale = 0.0
         for z, values in zip(_FD_GRID, oracle):
             devs.append(abs(p_deriv(n, z) - values[n]))
             scale = max(scale, abs(values[n]))
-        results.append(
-            _result(f"closed-form-fd-n{n}", devs, scale, t[key], _DEFAULT_TOLS[key])
-        )
+        results.append(_result(f"closed-form-fd-n{n}", devs, scale, tols, f"fd_n{n}"))
 
     # The pre-gathered fourth-derivative form: the same value composed
     # through the antiderivative frak_I instead of the gathered bracket.
@@ -246,58 +244,34 @@ def check_closed_forms(tols: Mapping[str, float] | None = None) -> list[CheckRes
             "p4-via-frak-I",
             devs,
             1.0,
-            t["p4_composition"],
-            _DEFAULT_TOLS["p4_composition"],
+            tols,
+            "p4_composition",
             note="pre-gathered composition through frak_I matches the gathered bracket",
         )
     )
     return results
 
 
-def check_quadrature_recurrence(n: int, tols: Mapping[str, float] | None = None) -> CheckResult:
+def check_quadrature_recurrence(
+    n: int, tol_overrides: Mapping[str, float] | None = None
+) -> CheckResult:
     """Residual of d/dz[(1-z^2) dPn/dz] + n P_{n-1} + n(n-1) P_{n-2} over the grid."""
-    if not 1 <= n <= 4:
-        raise DomainError(f"recurrence check supports n in 1..4, got {n!r}")
-    t = resolve_tolerances(tols)
-    key = f"ode_n{n}"
+    n = as_order(n, 1, 4, "derivative order")
+    tols = resolve_tolerances(tol_overrides)
     # dz = 1e-3: fourth-order truncation is ~1e-12 there while the
     # roundoff floor eps/dz^2 sits near 1e-8.
     devs = [ode_residual(n, z, 1e-3) for z in _ODE_GRID]
-    return _result(f"ode-recurrence-n{n}", devs, 1.0, t[key], _DEFAULT_TOLS[key])
-
-
-def check_inner_integral_origin(tols: Mapping[str, float] | None = None) -> CheckResult:
-    """Quadrature of [P3 + 3 P2] from 0 to z vs. I(z) - I(0)."""
-    t = resolve_tolerances(tols)
-
-    def integrand(zz: float) -> float:
-        return p_deriv(3, zz) + 3.0 * p_deriv(2, zz)
-
-    base = inner_integral_I(0.0)
-    devs = []
-    for z in (-0.6, -0.2, 0.4, 0.8):
-        if z > 0:
-            q = integrate(integrand, 0.0, z, tol=1e-11).value
-        else:
-            q = -integrate(integrand, z, 0.0, tol=1e-11).value
-        devs.append(abs(q - (inner_integral_I(z) - base)))
-    return _result(
-        "inner-integral-from-origin",
-        devs,
-        1.0,
-        t["inner_integral_quad"],
-        _DEFAULT_TOLS["inner_integral_quad"],
-    )
+    return _result(f"ode-recurrence-n{n}", devs, 1.0, tols, f"ode_n{n}")
 
 
 # --- section-2 polylogarithm identities ------------------------------------
 
 
 def check_identities(
-    tols: Mapping[str, float] | None = None, seed: int = DEFAULT_SEED
+    tol_overrides: Mapping[str, float] | None = None, seed: int = DEFAULT_SEED
 ) -> list[CheckResult]:
     """Residuals of the dilog reflection, dilog Landen and trilog identities."""
-    t = resolve_tolerances(tols)
+    tols = resolve_tolerances(tol_overrides)
     rng = random.Random(seed)
     xs = [rng.uniform(0.01, 0.99) for _ in range(100)]
     rows = (
@@ -305,10 +279,7 @@ def check_identities(
         ("identity-dilog-landen", dilog_landen),
         ("identity-trilog-landen", trilog_identity),
     )
-    return [
-        _result(name, [abs(fn(x)) for x in xs], 1.0, t["identities"], _DEFAULT_TOLS["identities"])
-        for name, fn in rows
-    ]
+    return [_result(name, [abs(fn(x)) for x in xs], 1.0, tols, "identities") for name, fn in rows]
 
 
 # --- antiderivative displays (treated as hypotheses) -----------------------
@@ -368,11 +339,11 @@ def _anti_log_squares(x: float) -> float:
 
 
 def check_appendix_a(
-    tols: Mapping[str, float] | None = None, seed: int = DEFAULT_SEED
+    tol_overrides: Mapping[str, float] | None = None, seed: int = DEFAULT_SEED
 ) -> list[CheckResult]:
     """Differentiate-and-compare checks for the first integrals and the three
     long antiderivative displays, plus the inner-integral cancellation."""
-    t = resolve_tolerances(tols)
+    tols = resolve_tolerances(tol_overrides)
     rng = random.Random(seed)
     zs = [rng.uniform(-0.9, 0.97) for _ in range(50)]
     ts = [rng.uniform(0.05, 0.95) for _ in range(50)]
@@ -383,19 +354,10 @@ def check_appendix_a(
             abs(_derivative(lambda zz: first_integral(eta, zz), z) - p_deriv(eta, z))
             for z in zs
         ]
-        results.append(
-            _result(
-                f"first-integral-{eta}",
-                devs,
-                1.0,
-                t["first_integral"],
-                _DEFAULT_TOLS["first_integral"],
-            )
-        )
+        results.append(_result(f"first-integral-{eta}", devs, 1.0, tols, "first_integral"))
 
     # The eta = 3 display: try each candidate order for its ambiguous
     # polylogarithm and report the measured derivative defect (report-only).
-    const_offset = 24.0 * zeta_const(3)
     for order in (1, 2, 3):
         offsets = [
             _derivative(lambda zz: first_integral(3, zz, li_order=order), z) - p_deriv(3, z)
@@ -416,8 +378,8 @@ def check_appendix_a(
                 f"first-integral-3-li{order}",
                 devs,
                 1.0,
-                t["first_integral"],
-                _DEFAULT_TOLS["first_integral"],
+                tols,
+                "first_integral",
                 note=note,
                 required=False,
             )
@@ -433,16 +395,7 @@ def check_appendix_a(
     )
     for name, form, target, required in anti_rows:
         devs = [abs(_derivative(form, x) - target(x)) for x in ts]
-        results.append(
-            _result(
-                name,
-                devs,
-                1.0,
-                t["antiderivative"],
-                _DEFAULT_TOLS["antiderivative"],
-                required=required,
-            )
-        )
+        results.append(_result(name, devs, 1.0, tols, "antiderivative", required=required))
 
     def integrand(zz: float) -> float:
         return p_deriv(3, zz) + 3.0 * p_deriv(2, zz)
@@ -451,15 +404,7 @@ def check_appendix_a(
     for z in _CANCELLATION_GRID:
         q = integrate(integrand, -1.0, z, tol=1e-11, flags=EndpointFlag(lower_singular=True))
         devs.append(abs(q.value - inner_integral_I(z)))
-    results.append(
-        _result(
-            "inner-integral-cancellation",
-            devs,
-            1.0,
-            t["inner_integral_quad"],
-            _DEFAULT_TOLS["inner_integral_quad"],
-        )
-    )
+    results.append(_result("inner-integral-cancellation", devs, 1.0, tols, "inner_integral_quad"))
 
     a = 2.0**-20
     b = 1.0 - 2.0**-20
@@ -471,9 +416,7 @@ def check_appendix_a(
         flags=EndpointFlag(lower_singular=True, upper_singular=True),
     )
     devs = [abs(q.value - (frak_I(b) - frak_I(a)))]
-    results.append(
-        _result("frak-I-quadrature", devs, 1.0, t["frak_quad"], _DEFAULT_TOLS["frak_quad"])
-    )
+    results.append(_result("frak-I-quadrature", devs, 1.0, tols, "frak_quad"))
 
     # Report-only: the antiderivative display variant whose 2 ln(t) Li_3(t)
     # term carries a plus sign is NOT an antiderivative of the integrand;
@@ -490,8 +433,8 @@ def check_appendix_a(
             "frak-I-display-variant",
             devs,
             1.0,
-            t["antiderivative"],
-            _DEFAULT_TOLS["antiderivative"],
+            tols,
+            "antiderivative",
             note=(
                 "the +2 ln(t) Li3(t) sign variant fails differentiate-and-compare; "
                 "the implemented minus sign passes (see frak-I-quadrature) and leaves "
@@ -513,8 +456,8 @@ def check_appendix_a(
             "p4-display-constant",
             [abs(v) for v in offsets],
             1.0,
-            t["fd_n4"],
-            _DEFAULT_TOLS["fd_n4"],
+            tols,
+            "fd_n4",
             note=(
                 f"bracket without its pi^4/36 constant misses the oracle by "
                 f"{sum(offsets) / len(offsets):.9f} = -2 pi^4/3 uniformly "
@@ -564,8 +507,7 @@ def trigamma_sum(terms: int = DEFAULT_SUM_TERMS, accelerate: bool = True) -> flo
     sum_{k<=K} sum_{j<K} 1/(k^2 (k+j)^2), which converges like zeta(2)/K and
     is evaluated in O(K) as sum_{k<=K} (psi'(k) - psi'(k+K))/k^2.
     """
-    if not 1 <= terms <= 10**8:
-        raise DomainError(f"terms must lie in 1..1e8, got {terms!r}")
+    terms = as_order(terms, 1, 10**8, "terms")
     if not accelerate:
         total = 0.0
         for k in range(1, terms + 1):
@@ -581,12 +523,11 @@ def trigamma_sum_target() -> float:
 
 
 def check_appendix_b(
-    terms: int = DEFAULT_SUM_TERMS, tols: Mapping[str, float] | None = None
+    terms: int = DEFAULT_SUM_TERMS, tol_overrides: Mapping[str, float] | None = None
 ) -> list[CheckResult]:
     """Endpoint limits of frak_I and the trigamma sums, with tail acceleration."""
-    if not 10**3 <= terms <= 10**8:
-        raise DomainError(f"terms must lie in 1e3..1e8, got {terms!r}")
-    t = resolve_tolerances(tols)
+    terms = as_order(terms, 10**3, 10**8, "terms")
+    tols = resolve_tolerances(tol_overrides)
     results = []
 
     lim1 = frak_I_limit(1)
@@ -599,8 +540,8 @@ def check_appendix_b(
             "frak-limit-endpoints",
             devs,
             abs(lim0),
-            t["frak_limits"],
-            _DEFAULT_TOLS["frak_limits"],
+            tols,
+            "frak_limits",
             note=(
                 f"difference lim1-lim0 = -pi^4/120; observed approach: "
                 f"|frak_I(1-2^-20)-lim| = {near1:.2e}, |frak_I(2^-20)-lim| = {near0:.2e}"
@@ -610,31 +551,15 @@ def check_appendix_b(
 
     main, shifted, h3, h4, h5 = _partial_sums(terms)
     tail = _tail_correction(h3, h4, h5)
-    accelerated = main + tail
-    results.append(
-        _result(
-            "trigamma-sum-accelerated",
-            [abs(accelerated - trigamma_sum_target())],
-            trigamma_sum_target(),
-            t["sum"],
-            _DEFAULT_TOLS["sum"],
-            sample_count=terms,
-        )
+    # The intermediate identity sum psi'(k+1)/k^2 = pi^4/120 has the main
+    # tail minus the zeta(4) remainder.
+    sums = (
+        ("trigamma-sum-accelerated", main + tail, trigamma_sum_target()),
+        ("trigamma-sum-intermediate", shifted + tail - (zeta_const(4) - h4), _PI4 / 120.0),
     )
-
-    # Intermediate identity: sum psi'(k+1)/k^2 = pi^4/120; its tail is the
-    # main tail minus the zeta(4) remainder.
-    shifted_full = shifted + tail - (zeta_const(4) - h4)
-    results.append(
-        _result(
-            "trigamma-sum-intermediate",
-            [abs(shifted_full - _PI4 / 120.0)],
-            _PI4 / 120.0,
-            t["sum"],
-            _DEFAULT_TOLS["sum"],
-            sample_count=terms,
-        )
-    )
+    for name, value, target in sums:
+        devs = [abs(value - target)]
+        results.append(_result(name, devs, target, tols, "sum", sample_count=terms))
 
     # Brute-force slow convergence, measured against its predicted gap.
     naive_terms = 1000
@@ -650,8 +575,8 @@ def check_appendix_b(
             "trigamma-sum-naive-gap",
             [abs(gap - predicted_gap)],
             abs(predicted_gap),
-            t["sum"],
-            _DEFAULT_TOLS["sum"],
+            tols,
+            "sum",
             note=f"K={naive_terms} brute-force double sum misses by {gap:.6e} (slow 1/K convergence)",
             sample_count=naive_terms,
         )
@@ -667,18 +592,21 @@ def run_suite(
     seed: int = DEFAULT_SEED,
     terms: int = DEFAULT_SUM_TERMS,
 ) -> CheckReport:
-    """Run every check in a fixed order and assemble the deterministic report."""
-    if not 10**3 <= terms <= 10**8:
-        raise DomainError(f"terms must lie in 1e3..1e8, got {terms!r}")
+    """Run every check in a fixed order and assemble the deterministic report.
+
+    ``tol_overrides`` may set the ``"fd"`` and ``"identities"`` tolerance
+    groups; any other key raises DomainError.  The report's config echoes
+    every resolved tolerance key.
+    """
+    terms = as_order(terms, 10**3, 10**8, "terms")
     tols = resolve_tolerances(tol_overrides)
     results: list[CheckResult] = []
-    results.extend(check_closed_forms(tols))
+    results.extend(check_closed_forms(tol_overrides))
     for n in range(1, 5):
-        results.append(check_quadrature_recurrence(n, tols))
-    results.append(check_inner_integral_origin(tols))
-    results.extend(check_identities(tols, seed=seed))
-    results.extend(check_appendix_a(tols, seed=seed))
-    results.extend(check_appendix_b(terms, tols))
+        results.append(check_quadrature_recurrence(n, tol_overrides))
+    results.extend(check_identities(tol_overrides, seed=seed))
+    results.extend(check_appendix_a(tol_overrides, seed=seed))
+    results.extend(check_appendix_b(terms, tol_overrides))
     all_passed = all(r.passed for r in results if r.required)
     config = {
         "seed": seed,

@@ -135,6 +135,11 @@ class TestVerify:
     def test_bad_flag_exits_two(self, runner):
         result = runner.invoke(main, ["verify", "--tol-fd", "not-a-number"])
         assert result.exit_code == 2
+        # NaN or infinite tolerances would also make the JSON report invalid
+        for flag in ("--tol-fd", "--tol-identities"):
+            for value in ("nan", "inf", "-1", "0"):
+                result = runner.invoke(main, ["verify", "--json", flag, value])
+                assert result.exit_code == 2, (flag, value)
 
 
 class TestSumTrigamma:

@@ -137,3 +137,7 @@ class TestOdeResidual:
             ode_residual(2, 0.5, -1e-4)
         with pytest.raises(DomainError):
             ode_residual(2, 0.99999, 1e-4)
+        for n in (True, 2.0):
+            with pytest.raises(DomainError):
+                ode_residual(n, 0.5, 1e-4)
+        assert ode_residual(np.int64(2), 0.5, 1e-4) == ode_residual(2, 0.5, 1e-4)

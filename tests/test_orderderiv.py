@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from legderiv import (
     DomainError,
     EndpointFlag,
-    EvalPoint,
     dilog_landen,
     dilog_reflection,
     first_integral,
@@ -108,29 +107,6 @@ class TestPDeriv:
         with pytest.raises(DomainError):
             p_deriv(2, float("nan"))
         assert p_deriv(0, -1.0) == 1.0  # constant order tolerates the endpoint
-
-
-class TestEvalPoint:
-    def test_half_shift(self):
-        pt = EvalPoint.from_z(0.5)
-        assert pt.t == 0.75
-
-    def test_rejects_endpoint(self):
-        with pytest.raises(DomainError):
-            EvalPoint.from_z(-1.0)
-
-    def test_accepted_by_evaluators(self):
-        pt = EvalPoint.from_z(0.25)
-        assert p_deriv(3, pt) == p_deriv(3, 0.25)
-        assert inner_integral_I(pt) == inner_integral_I(0.25)
-        assert first_integral(2, pt) == first_integral(2, 0.25)
-
-
-class TestResolvedConstants:
-    def test_pinned_values(self):
-        from legderiv import RESOLVED_CONSTANTS
-
-        assert RESOLVED_CONSTANTS.Cprime == PI**4 / 15.0
 
 
 class TestInnerIntegral:

@@ -190,6 +190,13 @@ class TestPolylogDomain:
         with pytest.raises(DomainError):
             polylog(2, float("nan"))
 
+    def test_rejects_infinities(self):
+        # -inf used to come back as -inf from the inversion branch
+        for s in (1, 2, 3, 4, 5):
+            for x in (-math.inf, math.inf):
+                with pytest.raises(DomainError):
+                    polylog(s, x)
+
 
 class TestTrigamma:
     def test_at_one(self):
@@ -221,6 +228,13 @@ class TestTrigamma:
     def test_domain(self, k):
         with pytest.raises(DomainError):
             trigamma(k)
+
+    def test_integer_like_arguments(self):
+        assert trigamma(np.int64(3)) == trigamma(3)
+        # beyond float range float(k) would overflow
+        for k in (2.0, np.int64(0), 10**400):
+            with pytest.raises(DomainError):
+                trigamma(k)
 
 
 @settings(max_examples=200, derandomize=True)

@@ -85,6 +85,13 @@ class TestContracts:
         with pytest.raises(DomainError):
             integrate(lambda x: x, 0.0, 1.0, tol=1e-14)
 
+    def test_nan_tolerance_rejected(self):
+        # NaN compares false both against the floor and in the refinement
+        # loop, so it used to return a one-panel value (0.48 for 0.020).
+        f = lambda x: math.exp(-x) * math.sin(50.0 * x)
+        with pytest.raises(DomainError):
+            integrate(f, 0.0, 10.0, tol=math.nan)
+
     def test_panel_cap(self):
         # needle far too sharp for eight panels
         f = lambda x: 1.0 / (1e-12 + (x - 0.37) ** 2)

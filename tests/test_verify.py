@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from legderiv import (
@@ -18,6 +19,40 @@ from legderiv import (
     trigamma_sum_target,
 )
 from legderiv.verify import resolve_tolerances
+
+# The report schema: every check id in report order, with its required flag.
+# Dropping, renaming or reordering a check means editing this list.
+REPORT_ROWS = [
+    ("closed-form-normalization", True),
+    ("closed-form-fd-n1", True),
+    ("closed-form-fd-n2", True),
+    ("closed-form-fd-n3", True),
+    ("closed-form-fd-n4", True),
+    ("p4-via-frak-I", True),
+    ("ode-recurrence-n1", True),
+    ("ode-recurrence-n2", True),
+    ("ode-recurrence-n3", True),
+    ("ode-recurrence-n4", True),
+    ("identity-dilog-reflection", True),
+    ("identity-dilog-landen", True),
+    ("identity-trilog-landen", True),
+    ("first-integral-1", True),
+    ("first-integral-2", True),
+    ("first-integral-3-li1", False),
+    ("first-integral-3-li2", False),
+    ("first-integral-3-li3", False),
+    ("antiderivative-li4-landen", True),
+    ("antiderivative-li2-squared", False),
+    ("antiderivative-log-squares", True),
+    ("inner-integral-cancellation", True),
+    ("frak-I-quadrature", True),
+    ("frak-I-display-variant", False),
+    ("p4-display-constant", False),
+    ("frak-limit-endpoints", True),
+    ("trigamma-sum-accelerated", True),
+    ("trigamma-sum-intermediate", True),
+    ("trigamma-sum-naive-gap", True),
+]
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +81,9 @@ class TestSuite:
         for r in report.results:
             assert r.passed == (r.max_abs_dev <= r.tolerance or r.max_rel_dev <= r.tolerance)
 
+    def test_report_schema(self, report):
+        assert [(r.id, r.required) for r in report.results] == REPORT_ROWS
+
     def test_config_echo(self, report):
         assert report.config["seed"] == 20140412
         assert report.config["sum_terms"] == 10000
@@ -72,8 +110,30 @@ class TestSuite:
             assert r.max_abs_dev <= resolve_tolerances(None)[_default_key(r.id)]
 
     def test_unknown_override_rejected(self):
-        with pytest.raises(DomainError):
-            run_suite(tol_overrides={"bogus": 1e-3})
+        # only the two groups the CLI sets are overridable; single keys are not
+        for key in ("bogus", "ode", "quadrature", "sum", "fd_n1", "normalization"):
+            with pytest.raises(DomainError):
+                run_suite(tol_overrides={key: 1e-3})
+
+    def test_override_groups(self):
+        defaults = resolve_tolerances(None)
+        tols = resolve_tolerances({"fd": 0.5, "identities": 0.25})
+        assert set(tols) == set(defaults) and len(tols) == 17
+        fd_group = {"fd_n1", "fd_n2", "fd_n3", "fd_n4", "first_integral", "antiderivative"}
+        for key, value in tols.items():
+            if key in fd_group:
+                assert value == 0.5
+            elif key == "identities":
+                assert value == 0.25
+            else:
+                assert value == defaults[key]
+
+    def test_terms_validation(self):
+        for terms in (1500.0, True, 999, 10**8 + 1):
+            with pytest.raises(DomainError):
+                run_suite(terms=terms)
+        doc = json.loads(run_suite(terms=np.int64(1000)).to_json())
+        assert doc["config"]["sum_terms"] == 1000 and doc["all_passed"]
 
 
 def _default_key(check_id: str) -> str:
@@ -98,8 +158,10 @@ class TestIndividualChecks:
         assert result.max_abs_dev <= 1e-5
 
     def test_recurrence_rejects_bad_order(self):
-        with pytest.raises(DomainError):
-            check_quadrature_recurrence(5)
+        for n in (5, 0, True, 2.0):
+            with pytest.raises(DomainError):
+                check_quadrature_recurrence(n)
+        assert check_quadrature_recurrence(np.int64(2)) == check_quadrature_recurrence(2)
 
     def test_identities_tiny_residuals(self):
         for result in check_identities():
@@ -161,8 +223,9 @@ class TestIndividualChecks:
         assert abs(one - two) <= 1e-10
 
     def test_appendix_b_domain(self):
-        with pytest.raises(DomainError):
-            check_appendix_b(100)
+        for terms in (100, 2000.0, True):
+            with pytest.raises(DomainError):
+                check_appendix_b(terms)
 
 
 class TestTrigammaSum:
@@ -181,10 +244,10 @@ class TestTrigammaSum:
         assert gap1 / gap2 == pytest.approx(2.0, rel=0.15)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            trigamma_sum(0)
-        with pytest.raises(DomainError):
-            trigamma_sum(10**9)
+        for terms in (0, 10**9, 1.5, 2.0, True):
+            with pytest.raises(DomainError):
+                trigamma_sum(terms)
+        assert trigamma_sum(np.int64(50)) == trigamma_sum(50)
 
 
 class TestCheckResultType:
