@@ -17,6 +17,9 @@ for the closed forms, entirely via finite differences in z.
 
 from __future__ import annotations
 
+import math
+import sys
+
 from .exceptions import ConvergenceError, DomainError
 from .orderderiv import p_deriv
 from .polylog import as_order
@@ -33,6 +36,7 @@ def legendre_p(nu: float, z: float, max_terms: int = _SERIES_CAP) -> float:
 
     Integer nu terminates the series exactly (Legendre polynomials).
     """
+    max_terms = as_order(max_terms, 1, math.inf, "max_terms")
     if not abs(nu) <= 4.0:
         raise DomainError(f"legendre_p expects |nu| <= 4, got {nu!r}")
     if not _Z_FLOOR < z <= 1.0:
@@ -62,6 +66,7 @@ def order_derivatives(
     Taylor coefficients in nu through degree 4 and returns n! times the
     summed nu^n coefficient.
     """
+    max_terms = as_order(max_terms, 1, math.inf, "max_terms")
     if not _Z_FLOOR < z <= 1.0:
         raise DomainError(f"order_derivatives expects z in ({_Z_FLOOR}, 1], got {z!r}")
     x = 0.5 * (1.0 - z)
@@ -96,8 +101,9 @@ def ode_residual(n: int, z: float, dz: float) -> float:
     floor well under the dz^2 level a nested first-difference would have.
     """
     n = as_order(n, 1, 4, "derivative order")
-    if not dz > 0.0:
-        raise DomainError(f"dz must be positive, got {dz!r}")
+    # A subnormal 12 dz^2 would blow the stencil's roundoff up to inf (or divide by 0).
+    if not (dz > 0.0 and 12.0 * dz * dz >= sys.float_info.min):
+        raise DomainError(f"dz must be positive and 12 dz^2 must not underflow, got {dz!r}")
     if not (-1.0 < z - 2.0 * dz and z + 2.0 * dz <= 1.0):
         raise DomainError(f"z +/- 2dz must stay inside (-1, 1], got z={z!r}, dz={dz!r}")
 

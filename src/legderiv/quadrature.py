@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .exceptions import ConvergenceError, DomainError
+from .polylog import as_order
 
 __all__ = ["EndpointFlag", "QuadResult", "integrate"]
 
@@ -133,10 +134,14 @@ def integrate(
     not bring the error estimate under ``tol``, or if a panel's value or
     error estimate is not finite.
     """
-    if not a < b:
-        raise DomainError(f"integration bounds must satisfy a < b, got {a!r}, {b!r}")
+    # A finite b - a also keeps every node finite.
+    if not (a < b and math.isfinite(b - a)):
+        raise DomainError(
+            f"integration bounds must satisfy a < b with finite b - a, got {a!r}, {b!r}"
+        )
     if not tol >= _MIN_TOL:  # also rejects NaN, which would end refinement at once
         raise DomainError(f"tolerance must be at least {_MIN_TOL:g}, got {tol!r}")
+    max_panels = as_order(max_panels, 1, math.inf, "max_panels")
 
     heap: list[tuple[float, int, float, float, float, Callable[[float], float]]] = []
     counter = 0

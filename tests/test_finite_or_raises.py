@@ -7,7 +7,7 @@ paths and the evaluation paths are exercised.
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from legderiv import (
     ConvergenceError,
@@ -15,6 +15,9 @@ from legderiv import (
     first_integral,
     frak_I,
     inner_integral_I,
+    integrate,
+    legendre_p,
+    ode_residual,
     order_derivatives,
     p_deriv,
     polylog,
@@ -23,6 +26,9 @@ from legderiv import (
 ANY_Z = st.floats() | st.floats(min_value=-1.0, max_value=1.0)
 ANY_X = st.floats() | st.floats(min_value=-10.0, max_value=1.0)
 ANY_T = st.floats() | st.floats(min_value=0.0, max_value=1.0)
+ANY_NU = st.floats() | st.floats(min_value=-4.0, max_value=4.0)
+ANY_DZ = st.floats() | st.floats(min_value=0.0, max_value=0.5)
+ANY_BOUND = st.floats() | st.floats(min_value=-10.0, max_value=10.0)
 
 
 def finite_or_raises(fn, *args):
@@ -68,3 +74,28 @@ def test_inner_integral_I(z):
 @given(ANY_Z)
 def test_order_derivatives(z):
     finite_or_raises(order_derivatives, z)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ANY_NU, ANY_Z)
+def test_legendre_p(nu, z):
+    finite_or_raises(legendre_p, nu, z)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=4), ANY_Z, ANY_DZ)
+def test_ode_residual(n, z, dz):
+    finite_or_raises(ode_residual, n, z, dz)
+
+
+def integrate_cos(a, b):
+    result = integrate(math.cos, a, b)
+    return result.value, result.abs_error_estimate
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ANY_BOUND, ANY_BOUND)
+@example(0.0, math.inf)
+@example(-1e308, 1e308)
+def test_integrate(a, b):
+    finite_or_raises(integrate_cos, a, b)

@@ -72,6 +72,10 @@ class TestLegendreSeries:
     def test_term_cap(self):
         with pytest.raises(ConvergenceError):
             legendre_p(0.5, -0.85, max_terms=5)
+        assert legendre_p(0.5, 0.3, max_terms=np.int64(500)) == legendre_p(0.5, 0.3)
+        for cap in (True, 2.5, 500.0, 0):
+            with pytest.raises(DomainError):
+                legendre_p(0.5, 0.3, max_terms=cap)
 
 
 MPMATH_POINTS = (-0.5, 0.0, 0.5, 0.9, 0.99) + tuple(1.0 - 10.0**-k for k in range(1, 16))
@@ -120,6 +124,10 @@ class TestOrderDerivativeFD:
     def test_term_cap(self):
         with pytest.raises(ConvergenceError):
             order_derivatives(-0.85, max_terms=5)
+        assert order_derivatives(0.3, max_terms=np.int64(500)) == order_derivatives(0.3)
+        for cap in (True, 2.5, 500.0, 0):
+            with pytest.raises(DomainError):
+                order_derivatives(0.3, max_terms=cap)
 
 
 class TestOdeResidual:
@@ -137,6 +145,11 @@ class TestOdeResidual:
             ode_residual(2, 0.5, -1e-4)
         with pytest.raises(DomainError):
             ode_residual(2, 0.99999, 1e-4)
+        # 12 dz^2 underflows: to 0 (used to raise ZeroDivisionError) or to a
+        # subnormal that magnifies the stencil's roundoff towards inf
+        for dz in (1e-170, 1e-160):
+            with pytest.raises(DomainError):
+                ode_residual(2, 0.0, dz)
         for n in (True, 2.0):
             with pytest.raises(DomainError):
                 ode_residual(n, 0.5, 1e-4)

@@ -171,8 +171,10 @@ class TestFrakI:
         assert frak_I_limit(0) == -(PI**4) / 45.0
         assert frak_I_limit(1) == -11.0 * PI**4 / 360.0
         assert frak_I_limit(1) - frak_I_limit(0) == pytest.approx(-(PI**4) / 120.0, abs=1e-13)
-        with pytest.raises(DomainError):
-            frak_I_limit(2)
+        assert frak_I_limit(np.int64(1)) == frak_I_limit(1)
+        for endpoint in (2, True, False, 0.0, 1.0):
+            with pytest.raises(DomainError):
+                frak_I_limit(endpoint)
 
     def test_endpoint_approach_upper(self):
         # the log powers cancel; what is left decays like 2^-k * poly(k)
@@ -249,6 +251,12 @@ class TestFirstIntegrals:
             first_integral(1, -1.0)
         with pytest.raises(DomainError):
             first_integral(3, 0.5, li_order=4)
+        assert first_integral(np.int64(3), 0.5, np.int64(1)) == first_integral(3, 0.5, 1)
+        for bad in (True, 1.0, 2.0):
+            with pytest.raises(DomainError):
+                first_integral(bad, 0.5)
+            with pytest.raises(DomainError):
+                first_integral(3, 0.5, li_order=bad)
 
 
 class TestIdentityResiduals:

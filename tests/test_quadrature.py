@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
@@ -80,6 +81,10 @@ class TestContracts:
             integrate(lambda x: x, 1.0, 0.0)
         with pytest.raises(DomainError):
             integrate(lambda x: x, 1.0, 1.0)
+        # infinite bounds, or a span that overflows, would hand x = inf to f
+        for a, b in ((0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308)):
+            with pytest.raises(DomainError):
+                integrate(math.cos, a, b)
 
     def test_tolerance_floor(self):
         with pytest.raises(DomainError):
@@ -97,6 +102,11 @@ class TestContracts:
         f = lambda x: 1.0 / (1e-12 + (x - 0.37) ** 2)
         with pytest.raises(ConvergenceError):
             integrate(f, 0.0, 1.0, tol=1e-10, max_panels=8)
+        with pytest.raises(ConvergenceError):
+            integrate(f, 0.0, 1.0, tol=1e-10, max_panels=np.int64(8))
+        for cap in (True, 2.5, 8.0, 0):
+            with pytest.raises(DomainError):
+                integrate(f, 0.0, 1.0, tol=1e-10, max_panels=cap)
 
     def test_nan_integrand_raises(self):
         with pytest.raises(ConvergenceError):
