@@ -70,9 +70,9 @@ def p_deriv(n: int, z: float) -> float:
     if n == 0:
         return 1.0
     t = 0.5 * (1.0 + z)
-    if n == 1:
-        return math.log(t)
     u = 0.5 * (1.0 - z)  # 1 - t without cancellation
+    if n == 1:
+        return math.log1p(-u) + 0.0 if u < 0.5 else math.log(t)  # +0.0 at z = 1
     if n == 2:
         return -2.0 * polylog(2, u) + 0.0  # + 0.0 turns -0.0 into +0.0 at z = 1
     zeta3 = zeta_const(3)

@@ -5,17 +5,21 @@ Everything is plain double precision and pure-functional.
 
 Evaluation regions for Li_s(x), x <= 1:
 
-* ``|x| <= 3/4``      direct power series  sum_{k>=1} x^k / k^s
-* ``3/4 < x < 1``     expansion in u = ln(x) with zeta coefficients
+* ``|x| <= 3/4``      power series  sum_{k=1..N} x^k / k^s, N = 108/93/79/67 for s = 2..5
+* ``3/4 < x < 1``     26 terms of the expansion in u = ln(x) with zeta coefficients
 * ``x = 1``           zeta(s) (s >= 2; Li_1(1) diverges)
 * ``-1 <= x < -3/4``  duplication  Li_s(x) = 2^(1-s) Li_s(x^2) - Li_s(-x)
 * ``x < -1``          real inversion identities in terms of Li_s(1/x)
 
+Both series, and trigamma's asymptotic tail, are one Horner pass over a
+table fixed at import, sized so that truncation stays below 2^-56 relative
+on the whole region; nothing tests for convergence at run time.  The ln(x)
+expansion converges for |ln x| < 2 pi; its 26 terms cover |ln x| <= ln(4/3),
+which is what puts the series cut at 3/4.
+
 Every sub-argument generated by the duplication/inversion branches lands
 in the series or ln(x) region after at most two hops, so the recursion
-is shallow and cycle-free.  The series cut sits at 3/4 because the
-ln(x) expansion is truncated for |ln x| <= ln(4/3); it converges for
-|ln x| < 2 pi, so a lower cut needs only more expansion terms.
+is shallow and cycle-free.
 """
 
 from __future__ import annotations
@@ -29,8 +33,6 @@ from .exceptions import DomainError
 __all__ = ["polylog", "zeta_const", "trigamma"]
 
 _SERIES_CUT = 0.75
-_EPS = 1e-17
-_MAX_SERIES_TERMS = 400
 
 # zeta(3), zeta(5) to 30 significant digits; zeta(2), zeta(4) are exact
 # pi-powers and are formed from math.pi at import time.
@@ -88,18 +90,26 @@ def as_order(value: object, lo: int, hi: float, what: str) -> int:
     raise DomainError(f"{what} must be an integer in {lo}..{hi}, got {value!r}")
 
 
-def _series(s: int, x: float) -> float:
-    # sum x^k / k^s; the geometric tail bound |term| * a/(1-a) certifies
-    # convergence since |x| <= 3/4 here.
-    a = abs(x)
-    power = x
-    total = x
-    for k in range(2, _MAX_SERIES_TERMS):
-        power *= x
-        total += power / float(k) ** s
-        if abs(power) * a / (1.0 - a) <= _EPS * abs(total) + 1e-300:
-            return total
-    raise AssertionError("series region is |x| <= 3/4; cannot get here")
+def _horner(coeffs: tuple[float, ...], u: float) -> float:
+    # sum_j coeffs[j] u^(n-1-j): the table lists the highest power first.
+    total = 0.0
+    for coeff in coeffs:
+        total = total * u + coeff
+    return total
+
+
+def _series_coeffs(s: int) -> tuple[float, ...]:
+    # 1/k^s for k = N..1: Li_s(x) = x * _horner(coeffs, x).  The tail after N
+    # terms is below a^(N+1) / ((N+1)^s (1-a)) and |Li_s(x)| >= a (1 - a/2^s),
+    # a = |x|; their ratio grows with a, so N is sized at the cut a = 3/4.
+    a = _SERIES_CUT
+    n = 1
+    while a**n / ((n + 1) ** s * (1.0 - a) * (1.0 - a / 2**s)) > 2.0**-56:
+        n += 1
+    return tuple(1.0 / k**s for k in range(n, 0, -1))
+
+
+_SERIES_COEFFS = {s: _series_coeffs(s) for s in range(2, 6)}
 
 
 def _zeta_at(m: int) -> float:
@@ -130,10 +140,7 @@ def _log_expansion(s: int, x: float) -> float:
     # Li_s(x) = sum_{j>=0, j != s-1} zeta(s-j) u^j/j!
     #           + [H_{s-1} - ln(-u)] u^(s-1)/(s-1)!,   u = ln x in (-ln(4/3), 0)
     u = math.log(x)
-    total = 0.0
-    for coeff in _LOG_COEFFS[s]:
-        total = total * u + coeff
-    return total - math.log(-u) * u ** (s - 1) / math.factorial(s - 1)
+    return _horner(_LOG_COEFFS[s], u) - math.log(-u) * u ** (s - 1) / math.factorial(s - 1)
 
 
 def _inversion(s: int, x: float) -> float:
@@ -153,9 +160,9 @@ def _inversion(s: int, x: float) -> float:
 def polylog(s: int, x: float) -> float:
     """Polylogarithm Li_s(x) = sum_{k>=1} x^k / k^s for real x <= 1.
 
-    Within 5e-15 relative for s = 2..5 in every region (measured against
-    mpmath at 1500 random points per region: at most 1.8e-15).
-    Li_1 is returned in closed form, -ln(1-x).
+    Within 1e-15 relative for s = 2..5 in every region (at most 8.1e-16
+    against mpmath over ~13k points covering every region and x = +-1 +- 2^-k).
+    Li_1 is returned in closed form, -ln(1-x).  Li_s(-0.0) is -0.0.
 
     Raises DomainError for x > 1, for non-finite x and for the divergent
     point (s=1, x=1).
@@ -171,7 +178,7 @@ def polylog(s: int, x: float) -> float:
     if x == 1.0:
         return zeta_const(s)
     if abs(x) <= _SERIES_CUT:
-        return _series(s, x)
+        return x * _horner(_SERIES_COEFFS[s], x)
     if x > 0.0:
         return _log_expansion(s, x)
     if x >= -1.0:
@@ -185,18 +192,13 @@ def polylog(s: int, x: float) -> float:
 # leaves |error| < |B_14| / x^15 < 4e-20 once x >= 20.
 _TRIGAMMA_SHIFT = 20.0
 _TRIGAMMA_MAX = sys.float_info.max
-_TRIGAMMA_BERNOULLI = _BERNOULLI[:6]  # B_2..B_12
+_TRIGAMMA_COEFFS = _BERNOULLI[5::-1]  # B_12..B_2, highest order first
 
 
 def _trigamma_asymptotic(x: float) -> float:
     inv = 1.0 / x
     inv2 = inv * inv
-    total = inv + 0.5 * inv2
-    power = inv * inv2
-    for coeff in _TRIGAMMA_BERNOULLI:
-        total += coeff * power
-        power *= inv2
-    return total
+    return inv + 0.5 * inv2 + inv * inv2 * _horner(_TRIGAMMA_COEFFS, inv2)
 
 
 def trigamma(k: int) -> float:

@@ -1,4 +1,6 @@
-"""Every public evaluator returns a finite value or raises a package error.
+"""Every public evaluator returns a finite value or raises a package error,
+and every evaluating CLI command prints finite values or exits 2 with a
+one-line message.
 
 Arguments are drawn from all doubles (NaN, +/-inf and subnormals included)
 and, separately, from the documented domains, so that both the rejection
@@ -7,6 +9,7 @@ paths and the evaluation paths are exercised.
 
 import math
 
+from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 from legderiv import (
@@ -22,6 +25,8 @@ from legderiv import (
     p_deriv,
     polylog,
 )
+from legderiv.cli import main
+from legderiv.verify import trigamma_sum
 
 ANY_Z = st.floats() | st.floats(min_value=-1.0, max_value=1.0)
 ANY_X = st.floats() | st.floats(min_value=-10.0, max_value=1.0)
@@ -29,6 +34,8 @@ ANY_T = st.floats() | st.floats(min_value=0.0, max_value=1.0)
 ANY_NU = st.floats() | st.floats(min_value=-4.0, max_value=4.0)
 ANY_DZ = st.floats() | st.floats(min_value=0.0, max_value=0.5)
 ANY_BOUND = st.floats() | st.floats(min_value=-10.0, max_value=10.0)
+# Partial-sum lengths: small enough to sum quickly, or too large to accept.
+ANY_TERMS = st.integers(max_value=300) | st.integers(min_value=10**8 + 1)
 
 
 def finite_or_raises(fn, *args):
@@ -99,3 +106,32 @@ def integrate_cos(a, b):
 @example(-1e308, 1e308)
 def test_integrate(a, b):
     finite_or_raises(integrate_cos, a, b)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ANY_TERMS | st.floats() | st.booleans(), st.booleans())
+def test_trigamma_sum(terms, accelerate):
+    finite_or_raises(trigamma_sum, terms, accelerate)
+
+
+def finite_or_exit_two(args):
+    result = CliRunner().invoke(main, args)
+    if result.exit_code == 2:
+        assert result.stdout == "" and result.stderr.count("\n") == 1, (args, result.stderr)
+        return
+    assert result.exit_code == 0, (args, result.output, result.exception)
+    values = [float(line.split()[-1]) for line in result.stdout.splitlines()]
+    assert values and all(math.isfinite(v) for v in values), (args, result.stdout)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(min_value=-2, max_value=6), ANY_Z)
+def test_cli_eval(n, z):
+    finite_or_exit_two(["eval", f"--n={n}", f"--z={z!r}"])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ANY_TERMS, st.booleans())
+def test_cli_sum_trigamma(terms, accelerate):
+    flags = [] if accelerate else ["--no-accelerate"]
+    finite_or_exit_two(["sum-trigamma", *flags, "--", str(terms)])

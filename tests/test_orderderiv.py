@@ -65,6 +65,18 @@ class TestPDeriv:
     def test_first_order_is_log(self):
         assert p_deriv(1, 0.0) == -math.log(2.0)
         assert p_deriv(1, 1.0) == 0.0
+        assert math.copysign(1.0, p_deriv(1, 1.0)) == 1.0
+
+    def test_first_order_relative_accuracy_at_both_ends(self):
+        # ln(t) with t = (1+z)/2 loses all digits to the rounding of t near
+        # z = 1 unless it is formed as log1p(-(1-z)/2)
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        for k in range(1, 16):
+            for z in (1.0 - 10.0**-k, -(1.0 - 10.0**-k)):
+                reference = mp.log((1 + mp.mpf(z)) / 2)
+                rel = float(abs((p_deriv(1, z) - reference) / reference))
+                assert rel <= 1e-15, (z, rel)
 
     def test_second_order_routes_through_polylog(self):
         rng = np.random.default_rng(3)

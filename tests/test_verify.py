@@ -14,10 +14,12 @@ from legderiv import (
     check_closed_forms,
     check_identities,
     check_quadrature_recurrence,
+    frak_I,
     run_suite,
     trigamma_sum,
     trigamma_sum_target,
 )
+from legderiv import verify
 from legderiv.verify import resolve_tolerances
 
 # The report schema: every check id in report order, with its required flag.
@@ -215,6 +217,13 @@ class TestIndividualChecks:
         assert all(r.passed for r in rows.values())
         gap_note = rows["trigamma-sum-naive-gap"].note
         assert "misses by" in gap_note
+
+    def test_frak_limits_gate_on_frak_I(self, monkeypatch):
+        # the endpoint check measures frak_I and the quadrature of its
+        # integrand against the limits, not the limits against literals
+        monkeypatch.setattr(verify, "frak_I", lambda t: frak_I(t) + 1e-9)
+        rows = {r.id: r for r in check_appendix_b(2000)}
+        assert not rows["frak-limit-endpoints"].passed
 
     def test_appendix_b_tail_correction_stability(self):
         # doubling the partial-sum length moves the corrected value < 1e-10
