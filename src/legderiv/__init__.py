@@ -8,7 +8,7 @@ harness that cross-checks every closed form against an independent route.
 """
 
 from .exceptions import ConvergenceError, DomainError
-from .oracle import legendre_p, ode_residual, order_derivatives
+from .oracle import ode_residual, order_derivatives
 from .orderderiv import (
     dilog_landen,
     dilog_reflection,
@@ -54,7 +54,6 @@ __all__ = [
     "dilog_reflection",
     "dilog_landen",
     "trilog_identity",
-    "legendre_p",
     "order_derivatives",
     "ode_residual",
     "integrate",

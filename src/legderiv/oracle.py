@@ -1,18 +1,17 @@
 """Ground truth independent of every closed form in the package.
 
-``legendre_p`` evaluates P_nu(z) from its hypergeometric series
+``order_derivatives`` differentiates the hypergeometric series
 
     P_nu(z) = sum_k c_k(nu) x^k,   c_k(nu) = prod_{j<k} (j-nu)(j+1+nu)/(j+1)^2,
 
-with x = (1-z)/2 and P_nu(1) = 1.  ``order_derivatives`` differentiates that
-series exactly in nu at nu = 0: each c_k is a polynomial in nu, so carrying
-it as its Taylor coefficients through nu^4 (Taylor-mode differentiation)
-gives P0..P4 in one pass, with no step size.  ``ode_residual`` checks the
-defining differential relation
+with x = (1-z)/2, exactly in nu at nu = 0: each c_k is a polynomial in nu,
+so carrying it as its Taylor coefficients through nu^4 (Taylor-mode
+differentiation) gives P0..P4 in one pass, with no step size.
+``ode_residual`` checks the defining differential relation
 
     d/dz[(1-z^2) dPn/dz] = -n P_{n-1} - n(n-1) P_{n-2}
 
-for the closed forms, entirely via finite differences in z.
+for ``p_deriv``, entirely via finite differences in z.
 """
 
 from __future__ import annotations
@@ -24,37 +23,11 @@ from .exceptions import ConvergenceError, DomainError
 from .orderderiv import p_deriv
 from .polylog import as_order
 
-__all__ = ["legendre_p", "order_derivatives", "ode_residual"]
+__all__ = ["order_derivatives", "ode_residual"]
 
 _SERIES_CAP = 100_000
 _Z_FLOOR = -0.9  # series ratio (1-z)/2 reaches 0.95 here; trust ends
 _FACTORIALS = (1.0, 1.0, 2.0, 6.0, 24.0)
-
-
-def legendre_p(nu: float, z: float, max_terms: int = _SERIES_CAP) -> float:
-    """Legendre function of the first kind P_nu(z), |nu| <= 4, z in (-0.9, 1].
-
-    Integer nu terminates the series exactly (Legendre polynomials).
-    """
-    max_terms = as_order(max_terms, 1, math.inf, "max_terms")
-    if not abs(nu) <= 4.0:
-        raise DomainError(f"legendre_p expects |nu| <= 4, got {nu!r}")
-    if not _Z_FLOOR < z <= 1.0:
-        raise DomainError(f"legendre_p expects z in ({_Z_FLOOR}, 1], got {z!r}")
-    x = 0.5 * (1.0 - z)
-    term = 1.0
-    total = 1.0
-    tiny_streak = 0
-    for k in range(max_terms):
-        term *= (k - nu) * (k + nu + 1.0) / ((k + 1.0) * (k + 1.0)) * x
-        total += term
-        if abs(term) <= 1e-17 * abs(total) + 1e-300:
-            tiny_streak += 1
-            if tiny_streak >= 2:
-                return total
-        else:
-            tiny_streak = 0
-    raise ConvergenceError(f"hypergeometric series for P_nu did not converge in {max_terms} terms")
 
 
 def order_derivatives(
@@ -62,7 +35,7 @@ def order_derivatives(
 ) -> tuple[float, float, float, float, float]:
     """(P0, P1, P2, P3, P4) with Pn = [d^n P_nu(z)/d nu^n] at nu = 0, z in (-0.9, 1].
 
-    Runs the term recurrence of ``legendre_p`` with each term held as its
+    Runs the term recurrence of the series with each term held as its
     Taylor coefficients in nu through degree 4 and returns n! times the
     summed nu^n coefficient.
     """

@@ -1,13 +1,19 @@
-"""Closed forms for the order-derivatives of the Legendre function at nu = 0.
+"""Order-derivatives of the Legendre function at nu = 0.
 
 ``p_deriv(n, z)`` evaluates Pn(z) = [d^n P_nu(z) / d nu^n] at nu = 0 for
-n = 0..4, with t = (1+z)/2 throughout:
+n = 0..4, with t = (1+z)/2 and u = (1-z)/2.  The paper's closed forms are
 
     P0 = 1
     P1 = ln(t)
     P2 = -2 Li_2(1-t)
     P3 = 12 Li_3(t) - 6 ln(t) Li_2(t) - pi^2 ln(t) - 12 zeta(3)
-    P4 = pi^4/15 + 24 [ ... ]          (grouped bracket, see the source)
+    P4 = pi^4/15 + 24 [ ... ]          (grouped bracket, see _closed_form)
+
+P0..P2 are evaluated from them.  P3 and P4 are one Horner pass over tables
+fixed at import, cut at z = 0: on z >= 0 the series in u of
+P_nu = F(-nu, nu+1; 1; u), whose nu^n coefficients have one sign, so nothing
+cancels as z -> 1; on z < 0 Pn = sum_k (A_k + B_k ln t) t^k (DLMF 15.8.10).
+Every Pn is within 1e-15 relative on z >= 0 and 1e-14 on z < 0.
 
 The module also carries every intermediate closed form the P4 derivation
 runs through: the inner integral I(z) = (1+z) P3(z), the antiderivative
@@ -16,8 +22,8 @@ integrals int^z P_eta dz', and residual evaluators for the dilogarithm
 reflection, the dilogarithm Landen transform, and the three-term
 trilogarithm identity.
 
-Everything diverges logarithmically as z -> -1 (n >= 1), so that endpoint
-is a hard domain error rather than an infinity.
+Only P1 and P3 diverge as z -> -1 (the ln(t) coefficient sin(pi nu)/pi is odd
+in nu; P2 -> -pi^2/3, P4 -> pi^4/5); z = -1 is a domain error for n >= 1.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 import math
 
 from .exceptions import DomainError
-from .polylog import as_order, polylog, zeta_const
+from .polylog import _horner, as_order, polylog, zeta_const
 
 __all__ = [
     "p_deriv",
@@ -42,6 +48,44 @@ _PI2 = math.pi**2
 _PI4 = math.pi**4
 
 
+def _kept(a: list[float], b: list[float]) -> int:
+    # Rows of sum_k (a_k + b_k ln x) x^k (b = 0: u-series) to keep on x <= 1/2.
+    # Row k is at most (|a_k| + ln 2 |b_k|) 2^-k, halving from row 2 on; the tail
+    # is cut below 2^-56 |Pn(0)|, the least |Pn| on z < 0 (u-series: one sign).
+    ln2 = math.log(2.0)
+    value = abs(sum((x - ln2 * y) / 2**k for k, (x, y) in enumerate(zip(a, b))))
+    bounds = [(abs(x) + ln2 * abs(y)) / 2**k for k, (x, y) in enumerate(zip(a, b))]
+    return 1 + max(k for k, bound in enumerate(bounds) if bound >= 2.0**-57 * value)
+
+
+def _nu_tables() -> dict[int, tuple[tuple[float, ...], ...]]:
+    # n -> (U, A, B), highest power first, from 80 rows of nu-Taylor coefficients.
+    # With s = -sin(pi nu)/pi, DLMF 15.8.10 gives B_k = -s c_k and A_k = s c_k
+    # [2 psi(k+1) - psi(k-nu) - psi(k+1+nu)] = s c_k [1/k + nu/k^2 + (2 zeta(3,k)
+    # - 1/k^3) nu^2 + ...], as s c_k = O(nu^2); at k = 0 psi(-nu)'s pole cancels s.
+    zeta3 = zeta_const(3)  # zeta(3, k) = zeta(3) - sum_{j<k} 1/j^3
+    c = [[1.0, 0.0, 0.0, 0.0, 0.0]]
+    a = [[1.0, 0.0, -_PI2 / 6.0, -2.0 * zeta3, _PI4 / 120.0]]
+    b = [[0.0, 1.0, 0.0, -_PI2 / 6.0, 0.0]]  # sin(pi nu)/pi
+    for k in range(1, 80):
+        prev = [0.0, 0.0] + c[-1]  # c_k = c_{k-1} ((k-1) k - nu - nu^2) / k^2
+        c.append([((k - 1) * k * prev[i + 2] - prev[i + 1] - prev[i]) / k**2 for i in range(5)])
+        b.append([0.0] + [x - _PI2 / 6.0 * y for x, y in zip(c[-1][:4], [0.0, 0.0] + c[-1])])
+        prev, d2 = [0.0, 0.0] + b[-1], 2.0 * zeta3 - 1.0 / k**3
+        a.append([-(prev[i + 2] / k + prev[i + 1] / k**2 + prev[i] * d2) for i in range(5)])
+        zeta3 -= 1.0 / k**3
+    tables = {}
+    for n in (3, 4):
+        cn, an, bn = ([math.factorial(n) * row[n] for row in rows] for rows in (c, a, b))
+        u_table = cn[1 : _kept(cn, [0.0] * len(cn))]  # c_0 = 1 only feeds P0
+        kept = _kept(an, bn)
+        tables[n] = tuple(tuple(reversed(x)) for x in (u_table, an[:kept], bn[:kept]))
+    return tables
+
+
+_NU_TABLES = _nu_tables()
+
+
 def _check_z(n: int, z: float) -> float:
     z = float(z)
     if math.isnan(z):
@@ -52,7 +96,7 @@ def _check_z(n: int, z: float) -> float:
     elif not -1.0 < z <= 1.0:
         raise DomainError(
             f"argument must lie in (-1, 1] for derivative order {n} "
-            f"(logarithmic divergence at -1), got {z!r}"
+            f"(P1 and P3 diverge at -1), got {z!r}"
         )
     return z
 
@@ -60,13 +104,29 @@ def _check_z(n: int, z: float) -> float:
 def p_deriv(n: int, z: float) -> float:
     """Order-derivative Pn(z) for n in 0..4, z in (-1, 1] (open at -1).
 
-    Pn(1) is exactly 0 for n >= 1 and exactly 1 for n = 0.  The P4
-    integration constants are pinned by P4(1) = 0: the coefficient of
-    ln((1+z)/(1-z)) must vanish for P4 to stay finite at z = 1, which
-    leaves only the additive constant pi^4/15.
+    P0..P2 from the closed forms, P3 and P4 from the u-series table on z >= 0
+    and the (A_k + B_k ln t) t-series tables on z < 0: within 1e-15 relative
+    on z >= 0 and 1e-14 on z < 0.  Pn(1) is exactly 0 for n >= 1, 1 for n = 0.
     """
     n = as_order(n, 0, 4, "derivative order")
     z = _check_z(n, z)
+    if n < 3:
+        return _closed_form(n, z)
+    u_table, a_table, b_table = _NU_TABLES[n]
+    if z >= 0.0:
+        u = 0.5 * (1.0 - z)
+        return u * _horner(u_table, u) + 0.0
+    t = 0.5 * (1.0 + z)
+    return _horner(a_table, t) + math.log(t) * _horner(b_table, t)
+
+
+def _closed_form(n: int, z: float) -> float:
+    """The paper's closed form of Pn(z), for n and z checked by p_deriv.
+
+    The P4 integration constants are pinned by P4(1) = 0: the coefficient
+    of ln((1+z)/(1-z)) must vanish for P4 to stay finite at z = 1, which
+    leaves only the additive constant pi^4/15.
+    """
     if n == 0:
         return 1.0
     t = 0.5 * (1.0 + z)

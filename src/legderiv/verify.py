@@ -2,10 +2,10 @@
 series value the closed forms rest on, checked against an independent route.
 
 Checks come in two strengths.  *Required* checks gate ``all_passed``:
-closed forms vs. the exact nu-Taylor oracle, the differential
-recurrence, the di/trilogarithm identities, the first two first-integrals,
-two of the three long antiderivative displays, the inner-integral
-cancellation, the endpoint limits and the trigamma sums.  *Informational*
+closed forms vs. the exact nu-Taylor oracle and vs. p_deriv's tables, the
+differential recurrence, the di/trilogarithm identities, the first two
+first-integrals, two of the three long antiderivative displays, the
+inner-integral cancellation, the endpoint limits and the trigamma sums.  *Informational*
 checks are report-only measurements of displays treated as hypotheses:
 the third first-integral (ambiguous polylogarithm order, constant
 derivative defect), the Li_2(t)^2 antiderivative, the sign variant of the
@@ -13,8 +13,8 @@ frak_I display, and the bracket constant of the fourth derivative.
 Nothing is silently corrected; defects are measured and reported.
 
 Each result gates on one tolerance key of ``_DEFAULT_TOLS``.  Callers may
-override two groups of keys: ``"fd"`` (the oracle comparisons, the first
-integrals and the antiderivatives; the CLI's ``--tol-fd``) and
+override two groups of keys: ``"fd"`` (the oracle and table comparisons,
+the first integrals and the antiderivatives; the CLI's ``--tol-fd``) and
 ``"identities"`` (the polylogarithm identities; ``--tol-identities``).
 
 Reports are deterministic for a fixed config: sample points come from a
@@ -32,6 +32,7 @@ from typing import Callable, Iterable, Mapping
 from .exceptions import DomainError
 from .oracle import ode_residual, order_derivatives
 from .orderderiv import (
+    _closed_form,
     first_integral,
     frak_I,
     frak_I_limit,
@@ -61,6 +62,7 @@ DEFAULT_SEED = 20140412
 DEFAULT_SUM_TERMS = 10_000
 
 _FD_GRID = (-0.5, 0.0, 0.5, 0.9, 0.99)
+_TABLE_GRID = (-0.99,) + tuple(k / 10.0 for k in range(-9, 10))
 _ODE_GRID = (-0.5, 0.0, 0.25, 0.5, 0.9)
 _CANCELLATION_GRID = (-0.9, -0.7, -0.5, -0.3, -0.1, 0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -70,6 +72,7 @@ _DEFAULT_TOLS: dict[str, float] = {
     "fd_n2": 1e-12,
     "fd_n3": 1e-12,
     "fd_n4": 1e-12,
+    "closed_form": 1e-12,
     "ode_n1": 1e-6,
     "ode_n2": 1e-6,
     "ode_n3": 1e-6,
@@ -86,7 +89,7 @@ _DEFAULT_TOLS: dict[str, float] = {
 
 # The only override groups: the ones the CLI sets.
 _TOL_GROUPS: dict[str, tuple[str, ...]] = {
-    "fd": ("fd_n1", "fd_n2", "fd_n3", "fd_n4", "first_integral", "antiderivative"),
+    "fd": ("fd_n1", "fd_n2", "fd_n3", "fd_n4", "closed_form", "first_integral", "antiderivative"),
     "identities": ("identities",),
 }
 
@@ -208,8 +211,8 @@ def _derivative(fn: Callable[[float], float], x: float, h_base: float = 1e-5) ->
 
 
 def check_closed_forms(tol_overrides: Mapping[str, float] | None = None) -> list[CheckResult]:
-    """Compare p_deriv against the nu-Taylor oracle on the fixed grid, and pin
-    the normalization values at z = 1."""
+    """Compare the closed forms against the nu-Taylor oracle and p_deriv's
+    tables on fixed grids, and pin the normalization values at z = 1."""
     tols = resolve_tolerances(tol_overrides)
     results = []
 
@@ -221,9 +224,13 @@ def check_closed_forms(tol_overrides: Mapping[str, float] | None = None) -> list
         devs = []
         scale = 0.0
         for z, values in zip(_FD_GRID, oracle):
-            devs.append(abs(p_deriv(n, z) - values[n]))
+            devs.append(abs(_closed_form(n, z) - values[n]))
             scale = max(scale, abs(values[n]))
         results.append(_result(f"closed-form-fd-n{n}", devs, scale, tols, f"fd_n{n}"))
+
+    # Pointwise relative, so that the check is as tight near z = +-1 as at 0.
+    devs = [abs(_closed_form(n, z) / p_deriv(n, z) - 1.0) for n in range(1, 5) for z in _TABLE_GRID]
+    results.append(_result("nu-tables-vs-closed-form", devs, 1.0, tols, "closed_form"))
 
     # The pre-gathered fourth-derivative form: the same value composed
     # through the antiderivative frak_I instead of the gathered bracket.
@@ -238,7 +245,7 @@ def check_closed_forms(tol_overrides: Mapping[str, float] | None = None) -> list
             + math.pi**2 / 6.0 * polylog(2, uu)
             + frak_I(tt)
         )
-        devs.append(abs(composed - p_deriv(4, z)))
+        devs.append(abs(composed - _closed_form(4, z)))
     results.append(
         _result(
             "p4-via-frak-I",
@@ -444,7 +451,7 @@ def check_appendix_a(
     # constant, measured against the oracle the same way the closed form is.
     offsets = []
     for z in (-0.5, 0.3, 0.8):
-        stripped = p_deriv(4, z) - 24.0 * math.pi**4 / 36.0
+        stripped = _closed_form(4, z) - 24.0 * math.pi**4 / 36.0
         offsets.append(stripped - order_derivatives(z)[4])
     spread = max(offsets) - min(offsets)
     results.append(

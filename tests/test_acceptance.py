@@ -33,7 +33,7 @@ from legderiv.verify import _derivative, _anti_li4_landen, _anti_li2_squared, _a
 
 PI = math.pi
 
-ORACLE_GRID = (-0.5, 0.0, 0.5, 0.9, 0.99)
+ORACLE_GRID = (-0.5, 0.0, 0.5, 0.9, 0.99, 0.9999, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12)
 ORACLE_TOL = {1: 1e-12, 2: 1e-12, 3: 1e-12, 4: 1e-12}
 
 

@@ -19,7 +19,6 @@ from legderiv import (
     frak_I,
     inner_integral_I,
     integrate,
-    legendre_p,
     ode_residual,
     order_derivatives,
     p_deriv,
@@ -31,7 +30,6 @@ from legderiv.verify import trigamma_sum
 ANY_Z = st.floats() | st.floats(min_value=-1.0, max_value=1.0)
 ANY_X = st.floats() | st.floats(min_value=-10.0, max_value=1.0)
 ANY_T = st.floats() | st.floats(min_value=0.0, max_value=1.0)
-ANY_NU = st.floats() | st.floats(min_value=-4.0, max_value=4.0)
 ANY_DZ = st.floats() | st.floats(min_value=0.0, max_value=0.5)
 ANY_BOUND = st.floats() | st.floats(min_value=-10.0, max_value=10.0)
 # Partial-sum lengths: small enough to sum quickly, or too large to accept.
@@ -81,12 +79,6 @@ def test_inner_integral_I(z):
 @given(ANY_Z)
 def test_order_derivatives(z):
     finite_or_raises(order_derivatives, z)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(ANY_NU, ANY_Z)
-def test_legendre_p(nu, z):
-    finite_or_raises(legendre_p, nu, z)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

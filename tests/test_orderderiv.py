@@ -8,6 +8,7 @@ the defining integrands for the antiderivatives.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,6 +47,17 @@ P4_REFERENCE = {
 }
 
 
+# z = +-(1 - 10^-k), k = 1..15, and a grid on each half of the domain
+UPPER_HALF = tuple(1.0 - 10.0**-k for k in range(1, 16)) + (0.0, 0.2, 0.4, 0.6, 0.8)
+LOWER_HALF = tuple(-(1.0 - 10.0**-k) for k in range(1, 16)) + (-0.2, -0.4, -0.6, -0.8)
+
+
+def mpmath_order_derivatives(z):
+    # P0..P4 as nu-derivatives of mpmath's Legendre function, to 25 digits
+    with mp.workdps(25):
+        return list(mp.diffs(lambda nu: mp.legenp(nu, 0, mp.mpf(z), type=2), 0, 4))
+
+
 def central_derivative(fn, x, h=1e-5):
     d1 = (fn(x + h) - fn(x - h)) / (2.0 * h)
     d2 = (fn(x + h / 2) - fn(x - h / 2)) / h
@@ -77,6 +89,31 @@ class TestPDeriv:
                 reference = mp.log((1 + mp.mpf(z)) / 2)
                 rel = float(abs((p_deriv(1, z) - reference) / reference))
                 assert rel <= 1e-15, (z, rel)
+
+    @pytest.mark.parametrize("zs,bound", [(UPPER_HALF, 1e-15), (LOWER_HALF, 1e-14)],
+                             ids=["upper-half", "lower-half"])
+    def test_relative_accuracy_against_mpmath(self, zs, bound):
+        # P3 and P4 come from the u-series table on z >= 0 and the t-series
+        # tables on z < 0; the closed forms lost every digit as z -> 1
+        for z in zs:
+            refs = mpmath_order_derivatives(z)
+            for n in (1, 2, 3, 4):
+                rel = float(abs((p_deriv(n, z) - refs[n]) / refs[n]))
+                assert rel <= bound, (n, z, rel)
+
+    def test_limits_at_minus_one(self):
+        # The ln(t) coefficient sin(pi nu)/pi is odd in nu, so only P1 and P3
+        # diverge as z -> -1, while P2 -> -pi^2/3 and P4 -> pi^4/5.  The t ln t
+        # terms are still 3.6e-14 (P2) and 6.9e-13 (P4) at t = 5.0e-16, so each
+        # limit carries its first-order term in t.
+        z = -1.0 + 1e-15
+        t = 0.5 * (1.0 + z)
+        lt = math.log(t)
+        assert p_deriv(2, z) == pytest.approx(-(PI**2) / 3.0 + 2.0 * t * (1.0 - lt), abs=1e-14)
+        p4_limit = PI**4 / 5.0 + t * (48.0 * zeta_const(3) - 4.0 * PI**2 * (1.0 - lt))
+        assert p_deriv(4, z) == pytest.approx(p4_limit, abs=1e-14)
+        assert p_deriv(1, z) == pytest.approx(lt, rel=1e-15)
+        assert p_deriv(3, z) == pytest.approx(-12.0 * zeta_const(3) - PI**2 * lt, rel=1e-15)
 
     def test_second_order_routes_through_polylog(self):
         rng = np.random.default_rng(3)

@@ -30,6 +30,7 @@ REPORT_ROWS = [
     ("closed-form-fd-n2", True),
     ("closed-form-fd-n3", True),
     ("closed-form-fd-n4", True),
+    ("nu-tables-vs-closed-form", True),
     ("p4-via-frak-I", True),
     ("ode-recurrence-n1", True),
     ("ode-recurrence-n2", True),
@@ -120,8 +121,9 @@ class TestSuite:
     def test_override_groups(self):
         defaults = resolve_tolerances(None)
         tols = resolve_tolerances({"fd": 0.5, "identities": 0.25})
-        assert set(tols) == set(defaults) and len(tols) == 17
-        fd_group = {"fd_n1", "fd_n2", "fd_n3", "fd_n4", "first_integral", "antiderivative"}
+        assert set(tols) == set(defaults) and len(tols) == 18
+        fd_group = {"fd_n1", "fd_n2", "fd_n3", "fd_n4", "closed_form", "first_integral",
+                    "antiderivative"}
         for key, value in tols.items():
             if key in fd_group:
                 assert value == 0.5
@@ -152,6 +154,16 @@ class TestIndividualChecks:
         assert rows["closed-form-normalization"].passed
         for n in (1, 2, 3, 4):
             assert rows[f"closed-form-fd-n{n}"].passed
+
+    def test_tables_gate_on_closed_forms(self, monkeypatch):
+        # the closed forms are checked against the oracle and against the
+        # series tables p_deriv evaluates; a 1e-11 relative slip fails the latter
+        rows = {r.id: r for r in check_closed_forms()}
+        assert rows["nu-tables-vs-closed-form"].max_rel_dev <= 1e-12
+        closed_form = verify._closed_form
+        monkeypatch.setattr(verify, "_closed_form", lambda n, z: closed_form(n, z) * (1 + 1e-11))
+        rows = {r.id: r for r in check_closed_forms()}
+        assert not rows["nu-tables-vs-closed-form"].passed
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_recurrence_rows(self, n):
