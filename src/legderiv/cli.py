@@ -124,13 +124,13 @@ def cmd_table(orders: str, z_start: float, z_end: float, steps: int, fmt: str, o
             orders=_parse_orders(orders), z_start=z_start, z_end=z_end, steps=steps, fmt=fmt
         )
         text = render_table(spec)
-    except DomainError as exc:
+        if output is not None:
+            with open(output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+    except (DomainError, OSError) as exc:
         _fail(str(exc))
     if output is None:
         click.echo(text, nl=False)
-    else:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
 
 
 @main.command("verify")

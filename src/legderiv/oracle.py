@@ -7,21 +7,24 @@
 with x = (1-z)/2, exactly in nu at nu = 0: each c_k is a polynomial in nu,
 so carrying it as its Taylor coefficients through nu^4 (Taylor-mode
 differentiation) gives P0..P4 in one pass, with no step size.
-``ode_residual`` checks the defining differential relation
+``ode_residual`` checks the differential relation of ``p_deriv``,
+d/dz[(1-z^2) Pn'] = -n P_{n-1} - n(n-1) P_{n-2}, integrated from z to 1:
 
-    d/dz[(1-z^2) dPn/dz] = -n P_{n-1} - n(n-1) P_{n-2}
+    (1-z^2) Pn'(z) = int_z^1 [n P_{n-1} + n(n-1) P_{n-2}] dz'.
 
-for ``p_deriv``, entirely via finite differences in z.
+The boundary term (1-z^2) Pn' vanishes at z = 1 because Pn' is finite there.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from typing import Callable
 
 from .exceptions import ConvergenceError, DomainError
 from .orderderiv import p_deriv
 from .polylog import as_order
+from .quadrature import integrate
 
 __all__ = ["order_derivatives", "ode_residual"]
 
@@ -66,29 +69,26 @@ def order_derivatives(
     )
 
 
-def ode_residual(n: int, z: float, dz: float) -> float:
-    """|d/dz[(1-z^2) dPn/dz] + n P_{n-1} + n(n-1) P_{n-2}| via differences in z.
+def _five_point(fn: Callable[[float], float], x: float, h: float) -> float:
+    # Fourth-order central first difference on x +- h, x +- 2h.
+    return (8.0 * (fn(x + h) - fn(x - h)) - (fn(x + 2.0 * h) - fn(x - 2.0 * h))) / (12.0 * h)
 
-    The left side is expanded to (1-z^2) Pn'' - 2z Pn' and both derivatives
-    come from fourth-order five-point stencils, which keeps the roundoff
-    floor well under the dz^2 level a nested first-difference would have.
+
+def ode_residual(n: int, z: float, dz: float) -> float:
+    """|(1-z^2) Pn'(z) - int_z^1 [n P_{n-1} + n(n-1) P_{n-2}]| with Pn' at step dz.
+
+    The recurrence integrated from z to 1, where (1-z^2) Pn' vanishes as Pn'
+    is finite: one first difference (roundoff eps/dz) and one ``integrate``.
     """
     n = as_order(n, 1, 4, "derivative order")
-    # A subnormal 12 dz^2 would blow the stencil's roundoff up to inf (or divide by 0).
+    # dz >= ~4e-155 keeps the stencil's quotient by 12 dz far from overflow.
     if not (dz > 0.0 and 12.0 * dz * dz >= sys.float_info.min):
         raise DomainError(f"dz must be positive and 12 dz^2 must not underflow, got {dz!r}")
     if not (-1.0 < z - 2.0 * dz and z + 2.0 * dz <= 1.0):
         raise DomainError(f"z +/- 2dz must stay inside (-1, 1], got z={z!r}, dz={dz!r}")
 
-    f_m2 = p_deriv(n, z - 2.0 * dz)
-    f_m1 = p_deriv(n, z - dz)
-    f_0 = p_deriv(n, z)
-    f_p1 = p_deriv(n, z + dz)
-    f_p2 = p_deriv(n, z + 2.0 * dz)
-    first = (-f_p2 + 8.0 * f_p1 - 8.0 * f_m1 + f_m2) / (12.0 * dz)
-    second = (-f_p2 + 16.0 * f_p1 - 30.0 * f_0 + 16.0 * f_m1 - f_m2) / (12.0 * dz * dz)
-    lhs = (1.0 - z * z) * second - 2.0 * z * first
-    rhs = -n * p_deriv(n - 1, z)
-    if n >= 2:
-        rhs -= n * (n - 1) * p_deriv(n - 2, z)
-    return abs(lhs - rhs)
+    def source(x: float) -> float:
+        return n * p_deriv(n - 1, x) + n * (n - 1) * p_deriv(max(n - 2, 0), x)  # zero at n = 1
+
+    lhs = (1.0 - z * z) * _five_point(lambda x: p_deriv(n, x), z, dz)
+    return abs(lhs - integrate(source, z, 1.0, tol=1e-13).value)

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .exceptions import DomainError
-from .oracle import ode_residual, order_derivatives
+from .oracle import _five_point, ode_residual, order_derivatives
 from .orderderiv import (
     _closed_form,
     first_integral,
@@ -73,10 +74,10 @@ _DEFAULT_TOLS: dict[str, float] = {
     "fd_n3": 1e-12,
     "fd_n4": 1e-12,
     "closed_form": 1e-12,
-    "ode_n1": 1e-6,
-    "ode_n2": 1e-6,
-    "ode_n3": 1e-6,
-    "ode_n4": 1e-5,
+    "ode_n1": 1e-9,
+    "ode_n2": 1e-9,
+    "ode_n3": 1e-9,
+    "ode_n4": 1e-9,
     "identities": 1e-12,
     "first_integral": 1e-7,
     "antiderivative": 1e-7,
@@ -160,11 +161,11 @@ def resolve_tolerances(tol_overrides: Mapping[str, float] | None) -> dict[str, f
             raise DomainError(
                 f"unknown tolerance group {group!r}; expected one of {sorted(_TOL_GROUPS)}"
             )
-        value = float(value)
-        if not 0.0 < value < math.inf:
+        number = float(value) if isinstance(value, numbers.Real) else math.nan
+        if not 0.0 < number < math.inf:
             raise DomainError(f"tolerance {group!r} must be positive and finite, got {value!r}")
         for key in _TOL_GROUPS[group]:
-            tols[key] = value
+            tols[key] = number
     return tols
 
 
@@ -199,12 +200,9 @@ def _result(
     )
 
 
-def _derivative(fn: Callable[[float], float], x: float, h_base: float = 1e-5) -> float:
-    # Central difference with one Richardson level; h scaled by max(1, |x|).
-    h = h_base * max(1.0, abs(x))
-    d1 = (fn(x + h) - fn(x - h)) / (2.0 * h)
-    d2 = (fn(x + 0.5 * h) - fn(x - 0.5 * h)) / h
-    return (4.0 * d2 - d1) / 3.0
+def _derivative(fn: Callable[[float], float], x: float) -> float:
+    # The five-point stencil, its step scaled by max(1, |x|).
+    return _five_point(fn, x, 5e-6 * max(1.0, abs(x)))
 
 
 # --- closed forms vs. the nu-derivative oracle ----------------------------
@@ -262,11 +260,11 @@ def check_closed_forms(tol_overrides: Mapping[str, float] | None = None) -> list
 def check_quadrature_recurrence(
     n: int, tol_overrides: Mapping[str, float] | None = None
 ) -> CheckResult:
-    """Residual of d/dz[(1-z^2) dPn/dz] + n P_{n-1} + n(n-1) P_{n-2} over the grid."""
+    """The residual of the integrated recurrence (``ode_residual``) over the grid."""
     n = as_order(n, 1, 4, "derivative order")
     tols = resolve_tolerances(tol_overrides)
-    # dz = 1e-3: fourth-order truncation is ~1e-12 there while the
-    # roundoff floor eps/dz^2 sits near 1e-8.
+    # dz = 1e-3 balances the stencil's truncation (dz^4) against its
+    # roundoff floor (eps/dz).
     devs = [ode_residual(n, z, 1e-3) for z in _ODE_GRID]
     return _result(f"ode-recurrence-n{n}", devs, 1.0, tols, f"ode_n{n}")
 
@@ -475,29 +473,31 @@ def check_appendix_a(
 # --- trigamma series and endpoint limits -----------------------------------
 
 
-def _partial_sums(terms: int) -> tuple[float, float, float, float, float]:
-    """Partial sums of psi'(k)/k^2, psi'(k+1)/k^2 and 1/k^s for s = 3,4,5."""
+def _trigammas(top: int) -> Iterator[tuple[int, float]]:
+    # (k, psi'(k)) for k = top..1 by the stable backward step psi'(k) = psi'(k+1) + 1/k^2
+    value = trigamma(top + 1)
+    for k in range(top, 0, -1):
+        value += 1.0 / (float(k) * float(k))
+        yield k, value
+
+
+def _partial_sums(terms: int) -> tuple[float, float, float, float]:
+    """Partial sums of psi'(k)/k^2 and psi'(k+1)/k^2 to K = ``terms``, the
+    analytic tail of the first past K, and zeta(4) - sum_{k<=K} 1/k^4."""
     main = shifted = h3 = h4 = h5 = 0.0
-    for k in range(1, terms + 1):
-        tk = trigamma(k)
+    for k, tk in _trigammas(terms):
         k2 = float(k) * float(k)
         main += tk / k2
         shifted += (tk - 1.0 / k2) / k2
         h3 += 1.0 / (k2 * k)
         h4 += 1.0 / (k2 * k2)
         h5 += 1.0 / (k2 * k2 * k)
-    return main, shifted, h3, h4, h5
-
-
-def _tail_correction(h3: float, h4: float, h5: float) -> float:
     # sum_{k>K} psi'(k)/k^2 with psi'(k) ~ 1/k + 1/(2k^2) + 1/(6k^3) - ...
     # expressed through zeta tails; the dropped -1/(30 k^7) layer contributes
     # less than 1/(180 K^6).
-    return (
-        (zeta_const(3) - h3)
-        + 0.5 * (zeta_const(4) - h4)
-        + (zeta_const(5) - h5) / 6.0
-    )
+    tail4 = zeta_const(4) - h4
+    tail = (zeta_const(3) - h3) + 0.5 * tail4 + (zeta_const(5) - h5) / 6.0
+    return main, shifted, tail, tail4
 
 
 def trigamma_sum(terms: int = DEFAULT_SUM_TERMS, accelerate: bool = True) -> float:
@@ -513,11 +513,11 @@ def trigamma_sum(terms: int = DEFAULT_SUM_TERMS, accelerate: bool = True) -> flo
     terms = as_order(terms, 1, 10**8, "terms")
     if not accelerate:
         total = 0.0
-        for k in range(1, terms + 1):
-            total += (trigamma(k) - trigamma(k + terms)) / (float(k) * float(k))
+        for (k, tk), (_, tk_shifted) in zip(_trigammas(terms), _trigammas(2 * terms)):
+            total += (tk - tk_shifted) / (float(k) * float(k))
         return total
-    main, _, h3, h4, h5 = _partial_sums(terms)
-    return main + _tail_correction(h3, h4, h5)
+    main, _, tail, _ = _partial_sums(terms)
+    return main + tail
 
 
 def trigamma_sum_target() -> float:
@@ -553,13 +553,12 @@ def check_appendix_b(
         )
     )
 
-    main, shifted, h3, h4, h5 = _partial_sums(terms)
-    tail = _tail_correction(h3, h4, h5)
+    main, shifted, tail, tail4 = _partial_sums(terms)
     # The intermediate identity sum psi'(k+1)/k^2 = pi^4/120 has the main
     # tail minus the zeta(4) remainder.
     sums = (
         ("trigamma-sum-accelerated", main + tail, trigamma_sum_target()),
-        ("trigamma-sum-intermediate", shifted + tail - (zeta_const(4) - h4), _PI4 / 120.0),
+        ("trigamma-sum-intermediate", shifted + tail - tail4, _PI4 / 120.0),
     )
     for name, value, target in sums:
         devs = [abs(value - target)]
@@ -569,11 +568,11 @@ def check_appendix_b(
     naive_terms = 1000
     naive = trigamma_sum(naive_terms, accelerate=False)
     gap = trigamma_sum_target() - naive
-    _, _, h3_n, h4_n, h5_n = _partial_sums(naive_terms)
+    _, _, naive_tail, _ = _partial_sums(naive_terms)
     dropped = 0.0
-    for k in range(1, naive_terms + 1):
-        dropped += trigamma(k + naive_terms) / (float(k) * float(k))
-    predicted_gap = dropped + _tail_correction(h3_n, h4_n, h5_n)
+    for (k, _), (_, tk_shifted) in zip(_trigammas(naive_terms), _trigammas(2 * naive_terms)):
+        dropped += tk_shifted / (float(k) * float(k))
+    predicted_gap = dropped + naive_tail
     results.append(
         _result(
             "trigamma-sum-naive-gap",

@@ -112,6 +112,18 @@ class TestTable:
         assert result.exit_code == 0
         assert target.read_text().startswith("z,P0,P1\n")
 
+    def test_unwritable_output_exits_two(self, runner, tmp_path):
+        target = tmp_path / "missing" / "grid.csv"
+        result = runner.invoke(
+            main,
+            ["table", "--orders", "0", "--z-start", "0", "--z-end", "1",
+             "--steps", "2", "--output", str(target)],
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert not target.parent.exists()
+
 
 class TestVerify:
     def test_default_passes(self, runner):

@@ -72,19 +72,18 @@ class TestOrderDerivativeFD:
 class TestOdeResidual:
     @pytest.mark.parametrize(
         "n,z,bound",
-        [(1, 0.5, 1e-6), (2, 0.0, 1e-6), (3, 0.3, 1e-6), (4, 0.25, 1e-5)],
+        [(1, 0.5, 1e-9), (2, 0.0, 1e-9), (3, 0.3, 1e-9), (4, 0.25, 1e-9)],
     )
     def test_pointwise(self, n, z, bound):
         assert ode_residual(n, z, 1e-4) <= bound
 
     def test_pointwise_bounds_hold_across_the_band(self):
-        # test_pointwise's bounds at each of 401 z in [0.15, 0.35], not only at
-        # its four points: the closed forms' roundoff, divided by 12 dz^2,
-        # reached 1.1e-6 (n = 3) and 1.1e-5 (n = 4) in this band
+        # test_pointwise's bound at each of 401 z in [0.15, 0.35], not only at
+        # its four points (the worst measures 2.6e-12, n = 4)
         for i in range(401):
             z = 0.15 + 0.2 * i / 400
-            for n, bound in ((1, 1e-6), (2, 1e-6), (3, 1e-6), (4, 1e-5)):
-                assert ode_residual(n, z, 1e-4) <= bound, (n, z)
+            for n in (1, 2, 3, 4):
+                assert ode_residual(n, z, 1e-4) <= 1e-9, (n, z)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -93,8 +92,8 @@ class TestOdeResidual:
             ode_residual(2, 0.5, -1e-4)
         with pytest.raises(DomainError):
             ode_residual(2, 0.99999, 1e-4)
-        # 12 dz^2 underflows: to 0 (used to raise ZeroDivisionError) or to a
-        # subnormal that magnifies the stencil's roundoff towards inf
+        # 12 dz^2 underflows: to 0 or to a subnormal; steps this small are
+        # rejected before the stencil divides by 12 dz
         for dz in (1e-170, 1e-160):
             with pytest.raises(DomainError):
                 ode_residual(2, 0.0, dz)

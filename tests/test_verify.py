@@ -15,12 +15,13 @@ from legderiv import (
     check_identities,
     check_quadrature_recurrence,
     frak_I,
+    p_deriv,
     run_suite,
     trigamma_sum,
     trigamma_sum_target,
 )
-from legderiv import verify
-from legderiv.verify import resolve_tolerances
+from legderiv import oracle, verify
+from legderiv.verify import _derivative, resolve_tolerances
 
 # The report schema: every check id in report order, with its required flag.
 # Dropping, renaming or reordering a check means editing this list.
@@ -117,6 +118,10 @@ class TestSuite:
         for key in ("bogus", "ode", "quadrature", "sum", "fd_n1", "normalization"):
             with pytest.raises(DomainError):
                 run_suite(tol_overrides={key: 1e-3})
+        # so is any value that is not a positive finite number
+        for value in (None, "abc", [1e-3], float("nan"), math.inf, 0.0, -1e-3):
+            with pytest.raises(DomainError):
+                run_suite(tol_overrides={"fd": value})
 
     def test_override_groups(self):
         defaults = resolve_tolerances(None)
@@ -169,7 +174,18 @@ class TestIndividualChecks:
     def test_recurrence_rows(self, n):
         result = check_quadrature_recurrence(n)
         assert result.passed
-        assert result.max_abs_dev <= 1e-5
+        assert result.tolerance == 1e-9
+        assert result.max_abs_dev <= 1e-9
+
+    def test_recurrence_catches_a_p3_slip(self, monkeypatch):
+        # a 1e-8 sin(7z) slip in the P3 that ode_residual differentiates and
+        # integrates scores 7.0e-8 against the 1e-9 gate
+        def slipped(n, z):
+            return p_deriv(n, z) + (1e-8 * math.sin(7.0 * z) if n == 3 else 0.0)
+
+        monkeypatch.setattr(oracle, "p_deriv", slipped)
+        result = check_quadrature_recurrence(3)
+        assert not result.passed and result.max_abs_dev > 1e-8
 
     def test_recurrence_rejects_bad_order(self):
         for n in (5, 0, True, 2.0):
@@ -255,6 +271,11 @@ class TestTrigammaSum:
         assert trigamma_sum_target() == pytest.approx(7.0 * math.pi**4 / 360.0, abs=0.0)
         assert trigamma_sum_target() == pytest.approx(1.8940656589944918, abs=1e-15)
 
+    @pytest.mark.parametrize("terms", [10**3, 10**4])
+    def test_accelerated_to_rounding(self, terms):
+        # one backward trigamma pass, summed from the small terms up
+        assert abs(trigamma_sum(terms) - trigamma_sum_target()) <= 1e-15
+
     def test_naive_is_slow(self):
         naive = trigamma_sum(1000, accelerate=False)
         assert abs(naive - trigamma_sum_target()) > 1e-4
@@ -269,6 +290,17 @@ class TestTrigammaSum:
             with pytest.raises(DomainError):
                 trigamma_sum(terms)
         assert trigamma_sum(np.int64(50)) == trigamma_sum(50)
+
+
+class TestDerivative:
+    @pytest.mark.parametrize("x", [0.3, 2.5])
+    def test_exact_on_quartics(self, x):
+        # the five-point stencil differentiates degree-4 polynomials exactly
+        def quartic(t):
+            return 3.0 * t**4 - 2.0 * t**3 + t**2 - 5.0 * t + 7.0
+
+        exact = 12.0 * x**3 - 6.0 * x**2 + 2.0 * x - 5.0
+        assert _derivative(quartic, x) == pytest.approx(exact, rel=1e-8)
 
 
 class TestCheckResultType:
