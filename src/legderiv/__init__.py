@@ -17,6 +17,7 @@ from .orderderiv import (
     frak_I_limit,
     inner_integral_I,
     p_deriv,
+    p_derivs,
     trilog_identity,
 )
 from .polylog import polylog, trigamma, zeta_const
@@ -47,6 +48,7 @@ __all__ = [
     "zeta_const",
     "trigamma",
     "p_deriv",
+    "p_derivs",
     "inner_integral_I",
     "frak_I",
     "frak_I_limit",

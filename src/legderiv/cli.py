@@ -15,7 +15,7 @@ import click
 
 from . import __version__
 from .exceptions import ConvergenceError, DomainError
-from .orderderiv import p_deriv
+from .orderderiv import p_deriv, p_derivs
 from .verify import run_suite, trigamma_sum, trigamma_sum_target, DEFAULT_SEED, DEFAULT_SUM_TERMS
 
 __all__ = ["main", "TableSpec"]
@@ -71,12 +71,18 @@ def _parse_orders(text: str) -> tuple[int, ...]:
 
 
 def render_table(spec: TableSpec) -> str:
-    """Deterministic CSV/JSON rendering with shortest round-trip floats."""
+    """Deterministic CSV/JSON rendering with shortest round-trip floats.
+
+    Each z is evaluated once, with p_derivs, whatever orders the spec asks for.
+    """
     names = [f"P{n}" for n in spec.orders]
-    rows = [[z] + [p_deriv(n, z) for n in spec.orders] for z in spec.grid()]
+    rows = []
+    for z in spec.grid():
+        values = p_derivs(z)
+        rows.append((z, *[values[n] for n in spec.orders]))
     if spec.fmt == "csv":
         lines = [",".join(["z"] + names)]
-        lines += [",".join(repr(v) for v in row) for row in rows]
+        lines += [",".join(map(repr, row)) for row in rows]
         return "\n".join(lines) + "\n"
     import json
 

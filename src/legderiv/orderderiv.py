@@ -13,7 +13,9 @@ P0..P2 are evaluated from them.  P3 and P4 are one Horner pass over tables
 fixed at import, cut at z = 0: on z >= 0 the series in u of
 P_nu = F(-nu, nu+1; 1; u), whose nu^n coefficients have one sign, so nothing
 cancels as z -> 1; on z < 0 Pn = sum_k (A_k + B_k ln t) t^k (DLMF 15.8.10).
-Every Pn is within 1e-15 relative on z >= 0 and 1e-14 on z < 0.
+Each table has a shorter suffix for u or t <= 1/4 (|z| >= 1/2).  Every Pn is
+within 1e-15 relative on z >= 0 and 1e-14 on z < 0.  ``p_derivs(z)`` gives
+P0..P4 at one z from one Horner loop over the same tables side by side.
 
 The module also carries every intermediate closed form the P4 derivation
 runs through: the inner integral I(z) = (1+z) P3(z), the antiderivative
@@ -31,10 +33,11 @@ from __future__ import annotations
 import math
 
 from .exceptions import DomainError
-from .polylog import _horner, as_order, polylog, zeta_const
+from .polylog import _horner, _series_table, as_order, polylog, zeta_const
 
 __all__ = [
     "p_deriv",
+    "p_derivs",
     "inner_integral_I",
     "frak_I",
     "frak_I_limit",
@@ -46,23 +49,29 @@ __all__ = [
 
 _PI2 = math.pi**2
 _PI4 = math.pi**4
+# u = (1-z)/2 <= 1/2 on z >= 0 and t = (1+z)/2 < 1/2 on z < 0; each table has
+# a shorter suffix for u or t <= _BAND (|z| >= 1/2).
+_BAND = 0.25
+_EDGES = (_BAND, 0.5)
 
 
-def _kept(a: list[float], b: list[float]) -> int:
-    # Rows of sum_k (a_k + b_k ln x) x^k (b = 0: u-series) to keep on x <= 1/2.
-    # Row k is at most (|a_k| + ln 2 |b_k|) 2^-k, halving from row 2 on; the tail
-    # is cut below 2^-56 |Pn(0)|, the least |Pn| on z < 0 (u-series: one sign).
-    ln2 = math.log(2.0)
-    value = abs(sum((x - ln2 * y) / 2**k for k, (x, y) in enumerate(zip(a, b))))
-    bounds = [(abs(x) + ln2 * abs(y)) / 2**k for k, (x, y) in enumerate(zip(a, b))]
+def _kept(a: list[float], b: list[float], x: float) -> int:
+    # Rows of sum_k (a_k + b_k ln t) t^k (b = 0: u-series) to keep on t <= x, for
+    # x = 1/2 or 1/4.  Row k is at most (|a_k| + |ln x| |b_k|) x^k, as |ln t| t^k
+    # grows on t <= x from row 2 on; the tail is cut below 2^-56 |Pn| at t = x,
+    # the least |Pn| on t <= x (u-series: one sign, so the tail's share grows with u).
+    lx = math.log(x)
+    value = abs(sum((p + lx * q) * x**k for k, (p, q) in enumerate(zip(a, b))))
+    bounds = [(abs(p) - lx * abs(q)) * x**k for k, (p, q) in enumerate(zip(a, b))]
     return 1 + max(k for k, bound in enumerate(bounds) if bound >= 2.0**-57 * value)
 
 
-def _nu_tables() -> dict[int, tuple[tuple[float, ...], ...]]:
-    # n -> (U, A, B), highest power first, from 80 rows of nu-Taylor coefficients.
-    # With s = -sin(pi nu)/pi, DLMF 15.8.10 gives B_k = -s c_k and A_k = s c_k
-    # [2 psi(k+1) - psi(k-nu) - psi(k+1+nu)] = s c_k [1/k + nu/k^2 + (2 zeta(3,k)
-    # - 1/k^3) nu^2 + ...], as s c_k = O(nu^2); at k = 0 psi(-nu)'s pole cancels s.
+def _nu_tables() -> dict[int, tuple[tuple[tuple[float, ...], ...], ...]]:
+    # n -> (U, A, B), each a (band, full) pair cut for u, t <= (1/4, 1/2), highest
+    # power first, from 80 rows of nu-Taylor coefficients.  With s = -sin(pi nu)/pi,
+    # DLMF 15.8.10 gives B_k = -s c_k and A_k = s c_k [2 psi(k+1) - psi(k-nu)
+    # - psi(k+1+nu)] = s c_k [1/k + nu/k^2 + (2 zeta(3,k) - 1/k^3) nu^2 + ...], as
+    # s c_k = O(nu^2); at k = 0 psi(-nu)'s pole cancels s.
     zeta3 = zeta_const(3)  # zeta(3, k) = zeta(3) - sum_{j<k} 1/j^3
     c = [[1.0, 0.0, 0.0, 0.0, 0.0]]
     a = [[1.0, 0.0, -_PI2 / 6.0, -2.0 * zeta3, _PI4 / 120.0]]
@@ -77,13 +86,37 @@ def _nu_tables() -> dict[int, tuple[tuple[float, ...], ...]]:
     tables = {}
     for n in (3, 4):
         cn, an, bn = ([math.factorial(n) * row[n] for row in rows] for rows in (c, a, b))
-        u_table = cn[1 : _kept(cn, [0.0] * len(cn))]  # c_0 = 1 only feeds P0
-        kept = _kept(an, bn)
-        tables[n] = tuple(tuple(reversed(x)) for x in (u_table, an[:kept], bn[:kept]))
+        u_kept = [_kept(cn, [0.0] * len(cn), x) for x in _EDGES]
+        t_kept = [_kept(an, bn, x) for x in _EDGES]
+        tables[n] = (
+            tuple(tuple(reversed(cn[1:k])) for k in u_kept),  # c_0 = 1 only feeds P0
+            tuple(tuple(reversed(an[:k])) for k in t_kept),
+            tuple(tuple(reversed(bn[:k])) for k in t_kept),
+        )
     return tables
 
 
+def _rows(*columns: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
+    # The columns side by side, each zero-padded at its high-power end to the
+    # longest.  A Horner pass goes 0 -> 0*x + 0 = 0 -> 0*x + c = c through the
+    # padding, so each column gives the same bits as its own _horner pass.
+    width = max(map(len, columns))
+    return tuple(zip(*((0.0,) * (width - len(col)) + col for col in columns)))
+
+
 _NU_TABLES = _nu_tables()
+# p_derivs' rows, as (band, full) pairs: (Li_2 series, U3, U4) on z >= 0 and
+# (A3, B3, A4, B4) on z < 0.  The Li_2 column is the table polylog(2, u) runs
+# at the band's upper edge; polylog bands at the same 1/4, so it runs that
+# table on the whole band and P2 keeps polylog's bits.
+_U_ROWS = tuple(
+    _rows(_series_table(2, edge), _NU_TABLES[3][0][i], _NU_TABLES[4][0][i])
+    for i, edge in enumerate(_EDGES)
+)
+_T_ROWS = tuple(
+    _rows(_NU_TABLES[3][1][i], _NU_TABLES[3][2][i], _NU_TABLES[4][1][i], _NU_TABLES[4][2][i])
+    for i in (0, 1)
+)
 
 
 def _check_z(n: int, z: float) -> float:
@@ -105,19 +138,48 @@ def p_deriv(n: int, z: float) -> float:
     """Order-derivative Pn(z) for n in 0..4, z in (-1, 1] (open at -1).
 
     P0..P2 from the closed forms, P3 and P4 from the u-series table on z >= 0
-    and the (A_k + B_k ln t) t-series tables on z < 0: within 1e-15 relative
-    on z >= 0 and 1e-14 on z < 0.  Pn(1) is exactly 0 for n >= 1, 1 for n = 0.
+    and the (A_k + B_k ln t) t-series tables on z < 0, each cut to a shorter
+    suffix where u or t is at most 1/4 (|z| >= 1/2): within 1e-15 relative on
+    z >= 0 and 1e-14 on z < 0.  Pn(1) is exactly 0 for n >= 1, 1 for n = 0.
     """
     n = as_order(n, 0, 4, "derivative order")
     z = _check_z(n, z)
     if n < 3:
         return _closed_form(n, z)
-    u_table, a_table, b_table = _NU_TABLES[n]
+    u_tables, a_tables, b_tables = _NU_TABLES[n]
     if z >= 0.0:
         u = 0.5 * (1.0 - z)
-        return u * _horner(u_table, u) + 0.0
+        return u * _horner(u_tables[u > _BAND], u) + 0.0
     t = 0.5 * (1.0 + z)
-    return _horner(a_table, t) + math.log(t) * _horner(b_table, t)
+    full = t > _BAND
+    return _horner(a_tables[full], t) + math.log(t) * _horner(b_tables[full], t)
+
+
+def p_derivs(z: float) -> tuple[float, float, float, float, float]:
+    """All five order-derivatives (P0, P1, P2, P3, P4) at one z in (-1, 1].
+
+    One domain check and one Horner pass over the table rows: (Li_2 series,
+    U3, U4) on z >= 0, (A3, B3, A4, B4) on z < 0, where P2 is -2 Li_2(u) and
+    ln t is shared by P1, P3 and P4.  Element n equals p_deriv(n, z) bit for bit.
+    """
+    z = _check_z(1, z)
+    u = 0.5 * (1.0 - z)
+    if z >= 0.0:
+        p2 = p3 = p4 = 0.0
+        for c2, c3, c4 in _U_ROWS[u > _BAND]:
+            p2 = p2 * u + c2
+            p3 = p3 * u + c3
+            p4 = p4 * u + c4
+        return 1.0, _closed_form(1, z), -2.0 * (u * p2) + 0.0, u * p3 + 0.0, u * p4 + 0.0
+    t = 0.5 * (1.0 + z)
+    a3 = b3 = a4 = b4 = 0.0
+    for ca3, cb3, ca4, cb4 in _T_ROWS[t > _BAND]:
+        a3 = a3 * t + ca3
+        b3 = b3 * t + cb3
+        a4 = a4 * t + ca4
+        b4 = b4 * t + cb4
+    lt = math.log(t)
+    return 1.0, lt, -2.0 * polylog(2, u) + 0.0, a3 + lt * b3, a4 + lt * b4
 
 
 def _closed_form(n: int, z: float) -> float:

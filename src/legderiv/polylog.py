@@ -5,17 +5,18 @@ Everything is plain double precision and pure-functional.
 
 Evaluation regions for Li_s(x), x <= 1:
 
-* ``|x| <= 3/4``      power series  sum_{k=1..N} x^k / k^s, N = 108/93/79/67 for s = 2..5
-* ``3/4 < x < 1``     26 terms of the expansion in u = ln(x) with zeta coefficients
+* ``|x| <= 1/2``      power series  sum_{k=1..N} x^k / k^s, N = 47/41/37/32 for s = 2..5,
+                      cut to its last 24/22/20/18 terms on the band |x| <= 1/4
+* ``1/2 < x < 1``     26 terms of the expansion in u = ln(x) with zeta coefficients
 * ``x = 1``           zeta(s) (s >= 2; Li_1(1) diverges)
-* ``-1 <= x < -3/4``  duplication  Li_s(x) = 2^(1-s) Li_s(x^2) - Li_s(-x)
+* ``-1 <= x < -1/2``  duplication  Li_s(x) = 2^(1-s) Li_s(x^2) - Li_s(-x)
 * ``x < -1``          real inversion identities in terms of Li_s(1/x)
 
 Both series, and trigamma's asymptotic tail, are one Horner pass over a
 table fixed at import, sized so that truncation stays below 2^-56 relative
-on the whole region; nothing tests for convergence at run time.  The ln(x)
-expansion converges for |ln x| < 2 pi; its 26 terms cover |ln x| <= ln(4/3),
-which is what puts the series cut at 3/4.
+on the whole region (the power series separately on each band); nothing
+tests for convergence at run time.  The ln(x) expansion converges for
+|ln x| < 2 pi, so its 26 terms reach down to x = 1/2 with room to spare.
 
 Every sub-argument generated by the duplication/inversion branches lands
 in the series or ln(x) region after at most two hops, so the recursion
@@ -32,7 +33,8 @@ from .exceptions import DomainError
 
 __all__ = ["polylog", "zeta_const", "trigamma"]
 
-_SERIES_CUT = 0.75
+_SERIES_CUT = 0.5
+_BAND = 0.25  # |x| <= _BAND takes a shorter suffix of the same series table
 
 # zeta(3), zeta(5) to 30 significant digits; zeta(2), zeta(4) are exact
 # pi-powers and are formed from math.pi at import time.
@@ -58,7 +60,7 @@ _BERNOULLI = (
     -236364091.0 / 2730.0,
 )
 
-_LOG_EXPANSION_TERMS = 26  # next term is below 1e-30 for |ln x| <= ln(4/3)
+_LOG_EXPANSION_TERMS = 26  # next term is below 1e-27 for |ln x| <= ln 2
 
 
 def zeta_const(s: int) -> float:
@@ -98,18 +100,29 @@ def _horner(coeffs: tuple[float, ...], u: float) -> float:
     return total
 
 
-def _series_coeffs(s: int) -> tuple[float, ...]:
-    # 1/k^s for k = N..1: Li_s(x) = x * _horner(coeffs, x).  The tail after N
-    # terms is below a^(N+1) / ((N+1)^s (1-a)) and |Li_s(x)| >= a (1 - a/2^s),
-    # a = |x|; their ratio grows with a, so N is sized at the cut a = 3/4.
-    a = _SERIES_CUT
+def _series_coeffs(s: int, a: float) -> tuple[float, ...]:
+    # 1/k^s for k = N..1: Li_s(x) = x * _horner(coeffs, x) on |x| <= a.  The
+    # tail after N terms is below y^(N+1) / ((N+1)^s (1-y)) and |Li_s(x)| >=
+    # y (1 - y/2^s), y = |x|; their ratio grows with y, so N is sized at y = a.
     n = 1
     while a**n / ((n + 1) ** s * (1.0 - a) * (1.0 - a / 2**s)) > 2.0**-56:
         n += 1
     return tuple(1.0 / k**s for k in range(n, 0, -1))
 
 
-_SERIES_COEFFS = {s: _series_coeffs(s) for s in range(2, 6)}
+# s -> (table for |x| <= _BAND, table for |x| <= _SERIES_CUT); the first is a
+# suffix of the second.
+_SERIES_COEFFS = {
+    s: (_series_coeffs(s, _BAND), _series_coeffs(s, _SERIES_CUT)) for s in range(2, 6)
+}
+
+
+def _series_table(s: int, a: float) -> tuple[float, ...] | None:
+    # The power-series table polylog(s, x) runs for |x| = a: the band's on
+    # a <= _BAND, the full one up to _SERIES_CUT, and None beyond the cut.
+    if a > _SERIES_CUT:
+        return None
+    return _SERIES_COEFFS[s][a > _BAND]
 
 
 def _zeta_at(m: int) -> float:
@@ -138,7 +151,7 @@ _LOG_COEFFS = {s: _log_coeffs(s) for s in range(2, 6)}
 
 def _log_expansion(s: int, x: float) -> float:
     # Li_s(x) = sum_{j>=0, j != s-1} zeta(s-j) u^j/j!
-    #           + [H_{s-1} - ln(-u)] u^(s-1)/(s-1)!,   u = ln x in (-ln(4/3), 0)
+    #           + [H_{s-1} - ln(-u)] u^(s-1)/(s-1)!,   u = ln x in (-ln 2, 0)
     u = math.log(x)
     return _horner(_LOG_COEFFS[s], u) - math.log(-u) * u ** (s - 1) / math.factorial(s - 1)
 
@@ -161,7 +174,8 @@ def polylog(s: int, x: float) -> float:
     """Polylogarithm Li_s(x) = sum_{k>=1} x^k / k^s for real x <= 1.
 
     Within 1e-15 relative for s = 2..5 in every region (at most 8.1e-16
-    against mpmath over ~13k points covering every region and x = +-1 +- 2^-k).
+    against mpmath over ~26k points covering every region, the region and
+    band edges x = +-1/4, +-1/2 and x = +-1 +- 2^-k).
     Li_1 is returned in closed form, -ln(1-x).  Li_s(-0.0) is -0.0.
 
     Raises DomainError for x > 1, for non-finite x and for the divergent
@@ -177,8 +191,9 @@ def polylog(s: int, x: float) -> float:
         return -math.log1p(-x)
     if x == 1.0:
         return zeta_const(s)
-    if abs(x) <= _SERIES_CUT:
-        return x * _horner(_SERIES_COEFFS[s], x)
+    table = _series_table(s, abs(x))
+    if table is not None:
+        return x * _horner(table, x)
     if x > 0.0:
         return _log_expansion(s, x)
     if x >= -1.0:

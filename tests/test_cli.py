@@ -6,7 +6,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from legderiv import __version__
+from legderiv import __version__, p_deriv
 from legderiv.cli import main
 
 
@@ -101,6 +101,24 @@ class TestTable:
              "--steps", "5"],
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("orders", ["all", "2,4", "1,3", "3"])
+    def test_cells_are_p_deriv(self, runner, orders):
+        # every row comes from one p_derivs pass, whichever orders it keeps;
+        # each cell is repr(p_deriv(n, z))
+        result = runner.invoke(
+            main,
+            ["table", "--orders", orders, "--z-start", "-0.95", "--z-end", "1",
+             "--steps", "40"],
+        )
+        assert result.exit_code == 0
+        header, *lines = result.output.splitlines()
+        names = header.split(",")[1:]
+        assert len(lines) == 40
+        for line in lines:
+            z_text, *cells = line.split(",")
+            z = float(z_text)
+            assert cells == [repr(p_deriv(int(name[1:]), z)) for name in names], z
 
     def test_output_file(self, runner, tmp_path):
         target = tmp_path / "grid.csv"

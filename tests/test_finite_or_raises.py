@@ -22,6 +22,7 @@ from legderiv import (
     ode_residual,
     order_derivatives,
     p_deriv,
+    p_derivs,
     polylog,
 )
 from legderiv.cli import main
@@ -49,6 +50,12 @@ def finite_or_raises(fn, *args):
 @given(st.integers(min_value=0, max_value=4), ANY_Z)
 def test_p_deriv(n, z):
     finite_or_raises(p_deriv, n, z)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ANY_Z)
+def test_p_derivs(z):
+    finite_or_raises(p_derivs, z)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

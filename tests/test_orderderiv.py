@@ -25,6 +25,7 @@ from legderiv import (
     integrate,
     order_derivatives,
     p_deriv,
+    p_derivs,
     polylog,
     trilog_identity,
     zeta_const,
@@ -47,9 +48,12 @@ P4_REFERENCE = {
 }
 
 
-# z = +-(1 - 10^-k), k = 1..15, and a grid on each half of the domain
-UPPER_HALF = tuple(1.0 - 10.0**-k for k in range(1, 16)) + (0.0, 0.2, 0.4, 0.6, 0.8)
-LOWER_HALF = tuple(-(1.0 - 10.0**-k) for k in range(1, 16)) + (-0.2, -0.4, -0.6, -0.8)
+# z = +-(1 - 10^-k), k = 1..15, a grid on each half of the domain, and the
+# band edges z = +-1/2 (u or t = 1/4) with their neighbours
+UPPER_HALF = tuple(1.0 - 10.0**-k for k in range(1, 16)) + (0.0, 0.2, 0.4, 0.6, 0.8) + (
+    0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0))
+LOWER_HALF = tuple(-(1.0 - 10.0**-k) for k in range(1, 16)) + (-0.2, -0.4, -0.6, -0.8) + (
+    -0.5, math.nextafter(-0.5, 0.0), math.nextafter(-0.5, -1.0))
 
 
 def mpmath_order_derivatives(z):
@@ -100,6 +104,21 @@ class TestPDeriv:
             for n in (1, 2, 3, 4):
                 rel = float(abs((p_deriv(n, z) - refs[n]) / refs[n]))
                 assert rel <= bound, (n, z, rel)
+
+    def test_p_derivs_is_p_deriv_bit_for_bit(self):
+        # one fused Horner pass over zero-padded rows, banded at u, t = 1/4
+        # (z = +-1/2) and cut at z = 0, against one table pass per order
+        zs = [k / 500.0 for k in range(-499, 501)] + [1.0, 0.0, -0.0]
+        for edge in (0.5, -0.5, 0.0):
+            zs += [edge, math.nextafter(edge, 1.0), math.nextafter(edge, -1.0)]
+        zs += [sign * (1.0 - 10.0**-k) for k in range(1, 16) for sign in (1.0, -1.0)]
+        for z in zs:
+            assert [v.hex() for v in p_derivs(z)] == [p_deriv(n, z).hex() for n in range(5)], z
+
+    def test_p_derivs_domain(self):
+        for z in (-1.0, 1.5, float("nan"), float("-inf")):
+            with pytest.raises(DomainError):
+                p_derivs(z)
 
     def test_limits_at_minus_one(self):
         # The ln(t) coefficient sin(pi nu)/pi is odd in nu, so only P1 and P3

@@ -137,13 +137,14 @@ class TestPolylogSeriesConsistency:
 
     def test_against_mpmath_all_regions(self):
         # independent high-precision implementation, covering the series,
-        # ln(x)-expansion, duplication and inversion branches; x = +-3/4 and
-        # their neighbours are where the fixed-length series truncates worst.
+        # ln(x)-expansion, duplication and inversion branches; x = +-1/2, +-1/4
+        # and their neighbours are where the fixed-length series and its banded
+        # suffix truncate worst; +-3/4 sit inside the ln(x) and duplication regions.
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
         points = [-1048576.0, -123.4, -2.0, -1.0, -0.99973, -0.9, -0.5, 0.3, 0.74,
                   0.76, 0.9, 0.995, 0.99994, 1.0 - 2.0**-20]
-        for cut in (0.75, -0.75):
+        for cut in (0.75, -0.75, 0.5, -0.5, 0.25, -0.25):
             points += [cut, math.nextafter(cut, 0.0), math.nextafter(cut, 2.0 * cut)]
         for s in (2, 3, 4, 5):
             for x in points:
