@@ -16,6 +16,7 @@ import click
 from . import __version__
 from .exceptions import ConvergenceError, DomainError
 from .orderderiv import p_deriv, p_derivs
+from .polylog import as_order
 from .verify import run_suite, trigamma_sum, trigamma_sum_target, DEFAULT_SEED, DEFAULT_SUM_TERMS
 
 __all__ = ["main", "TableSpec"]
@@ -35,8 +36,9 @@ class TableSpec:
     fmt: str
 
     def __post_init__(self) -> None:
-        if not self.orders or any(n not in _ALL_ORDERS for n in self.orders):
+        if not self.orders:
             raise DomainError(f"orders must be a nonempty subset of 0..4, got {self.orders!r}")
+        object.__setattr__(self, "orders", tuple(as_order(n, 0, 4, "order") for n in self.orders))
         if not -1.0 < self.z_start < self.z_end <= 1.0:
             raise DomainError(
                 f"need -1 < z_start < z_end <= 1, got {self.z_start!r}, {self.z_end!r}"

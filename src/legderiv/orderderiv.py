@@ -13,9 +13,9 @@ P0..P2 are evaluated from them.  P3 and P4 are one Horner pass over tables
 fixed at import, cut at z = 0: on z >= 0 the series in u of
 P_nu = F(-nu, nu+1; 1; u), whose nu^n coefficients have one sign, so nothing
 cancels as z -> 1; on z < 0 Pn = sum_k (A_k + B_k ln t) t^k (DLMF 15.8.10).
-Each table has a shorter suffix for u or t <= 1/4 (|z| >= 1/2).  Every Pn is
-within 1e-15 relative on z >= 0 and 1e-14 on z < 0.  ``p_derivs(z)`` gives
-P0..P4 at one z from one Horner loop over the same tables side by side.
+polylog's edges and sizing rule cut them, with a shorter suffix for u or
+t <= 1/4 (|z| >= 1/2).  ``p_derivs(z)`` gives P0..P4 at one z from one
+Horner loop over the same tables side by side.
 
 The module also carries every intermediate closed form the P4 derivation
 runs through: the inner integral I(z) = (1+z) P3(z), the antiderivative
@@ -33,7 +33,8 @@ from __future__ import annotations
 import math
 
 from .exceptions import DomainError
-from .polylog import _horner, _series_table, as_order, polylog, zeta_const
+from .polylog import _BAND, _SERIES_CUT, _horner, _series_table, _sized_table
+from .polylog import as_order, polylog, zeta_const
 
 __all__ = [
     "p_deriv",
@@ -49,25 +50,19 @@ __all__ = [
 
 _PI2 = math.pi**2
 _PI4 = math.pi**4
-# u = (1-z)/2 <= 1/2 on z >= 0 and t = (1+z)/2 < 1/2 on z < 0; each table has
-# a shorter suffix for u or t <= _BAND (|z| >= 1/2).
-_BAND = 0.25
-_EDGES = (_BAND, 0.5)
 
 
-def _kept(a: list[float], b: list[float], x: float) -> int:
-    # Rows of sum_k (a_k + b_k ln t) t^k (b = 0: u-series) to keep on t <= x, for
-    # x = 1/2 or 1/4.  Row k is at most (|a_k| + |ln x| |b_k|) x^k, as |ln t| t^k
-    # grows on t <= x from row 2 on; the tail is cut below 2^-56 |Pn| at t = x,
-    # the least |Pn| on t <= x (u-series: one sign, so the tail's share grows with u).
+def _bounds(a: list[float], b: list[float], x: float) -> tuple[list[float], float]:
+    # _sized_table's bounds for sum_k (a_k + b_k ln t) t^k on t <= x: row k is at
+    # most (|a_k| + |ln x| |b_k|) x^k, as |ln t| t^k grows there from row 2 on, and
+    # the tail's share of |Pn| is largest at t = x (the u-series, b = 0, has one sign).
     lx = math.log(x)
     value = abs(sum((p + lx * q) * x**k for k, (p, q) in enumerate(zip(a, b))))
-    bounds = [(abs(p) - lx * abs(q)) * x**k for k, (p, q) in enumerate(zip(a, b))]
-    return 1 + max(k for k, bound in enumerate(bounds) if bound >= 2.0**-57 * value)
+    return [(abs(p) - lx * abs(q)) * x**k for k, (p, q) in enumerate(zip(a, b))], value
 
 
 def _nu_tables() -> dict[int, tuple[tuple[tuple[float, ...], ...], ...]]:
-    # n -> (U, A, B), each a (band, full) pair cut for u, t <= (1/4, 1/2), highest
+    # n -> (U, A, B), each a (band, full) pair cut at polylog's edges, highest
     # power first, from 80 rows of nu-Taylor coefficients.  With s = -sin(pi nu)/pi,
     # DLMF 15.8.10 gives B_k = -s c_k and A_k = s c_k [2 psi(k+1) - psi(k-nu)
     # - psi(k+1+nu)] = s c_k [1/k + nu/k^2 + (2 zeta(3,k) - 1/k^3) nu^2 + ...], as
@@ -86,12 +81,12 @@ def _nu_tables() -> dict[int, tuple[tuple[tuple[float, ...], ...], ...]]:
     tables = {}
     for n in (3, 4):
         cn, an, bn = ([math.factorial(n) * row[n] for row in rows] for rows in (c, a, b))
-        u_kept = [_kept(cn, [0.0] * len(cn), x) for x in _EDGES]
-        t_kept = [_kept(an, bn, x) for x in _EDGES]
+        u_bounds = [_bounds(cn, [0.0] * len(cn), x) for x in (_BAND, _SERIES_CUT)]
+        t_bounds = [_bounds(an, bn, x) for x in (_BAND, _SERIES_CUT)]
         tables[n] = (
-            tuple(tuple(reversed(cn[1:k])) for k in u_kept),  # c_0 = 1 only feeds P0
-            tuple(tuple(reversed(an[:k])) for k in t_kept),
-            tuple(tuple(reversed(bn[:k])) for k in t_kept),
+            tuple(_sized_table(cn, *cut)[:-1] for cut in u_bounds),  # c_0 = 1 only feeds P0
+            tuple(_sized_table(an, *cut) for cut in t_bounds),
+            tuple(_sized_table(bn, *cut) for cut in t_bounds),
         )
     return tables
 
@@ -107,16 +102,12 @@ def _rows(*columns: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
 _NU_TABLES = _nu_tables()
 # p_derivs' rows, as (band, full) pairs: (Li_2 series, U3, U4) on z >= 0 and
 # (A3, B3, A4, B4) on z < 0.  The Li_2 column is the table polylog(2, u) runs
-# at the band's upper edge; polylog bands at the same 1/4, so it runs that
-# table on the whole band and P2 keeps polylog's bits.
+# on the same band, so P2 keeps polylog's bits.
 _U_ROWS = tuple(
     _rows(_series_table(2, edge), _NU_TABLES[3][0][i], _NU_TABLES[4][0][i])
-    for i, edge in enumerate(_EDGES)
+    for i, edge in enumerate((_BAND, _SERIES_CUT))
 )
-_T_ROWS = tuple(
-    _rows(_NU_TABLES[3][1][i], _NU_TABLES[3][2][i], _NU_TABLES[4][1][i], _NU_TABLES[4][2][i])
-    for i in (0, 1)
-)
+_T_ROWS = tuple(_rows(*(_NU_TABLES[n][j][i] for n in (3, 4) for j in (1, 2))) for i in (0, 1))
 
 
 def _check_z(n: int, z: float) -> float:

@@ -7,16 +7,16 @@ Evaluation regions for Li_s(x), x <= 1:
 
 * ``|x| <= 1/2``      power series  sum_{k=1..N} x^k / k^s, N = 47/41/37/32 for s = 2..5,
                       cut to its last 24/22/20/18 terms on the band |x| <= 1/4
-* ``1/2 < x < 1``     26 terms of the expansion in u = ln(x) with zeta coefficients
+* ``1/2 < x < 1``     16/17/16/15 terms of the expansion in u = ln(x) with zeta coefficients
 * ``x = 1``           zeta(s) (s >= 2; Li_1(1) diverges)
 * ``-1 <= x < -1/2``  duplication  Li_s(x) = 2^(1-s) Li_s(x^2) - Li_s(-x)
 * ``x < -1``          real inversion identities in terms of Li_s(1/x)
 
 Both series, and trigamma's asymptotic tail, are one Horner pass over a
-table fixed at import, sized so that truncation stays below 2^-56 relative
-on the whole region (the power series separately on each band); nothing
-tests for convergence at run time.  The ln(x) expansion converges for
-|ln x| < 2 pi, so its 26 terms reach down to x = 1/2 with room to spare.
+table fixed at import; nothing tests for convergence at run time.  One rule
+sizes both series and orderderiv's nu-tables at the same edges 1/4 and 1/2:
+keep the rows up to the last whose bound at the table's edge reaches 2^-57
+of |f| where the tail's share of it is largest (``_sized_table``).
 
 Every sub-argument generated by the duplication/inversion branches lands
 in the series or ln(x) region after at most two hops, so the recursion
@@ -33,8 +33,9 @@ from .exceptions import DomainError
 
 __all__ = ["polylog", "zeta_const", "trigamma"]
 
-_SERIES_CUT = 0.5
-_BAND = 0.25  # |x| <= _BAND takes a shorter suffix of the same series table
+# Every series table, orderderiv's too, runs in full up to _SERIES_CUT and as
+# a shorter suffix on arguments <= _BAND.
+_SERIES_CUT, _BAND = 0.5, 0.25
 
 # zeta(3), zeta(5) to 30 significant digits; zeta(2), zeta(4) are exact
 # pi-powers and are formed from math.pi at import time.
@@ -59,8 +60,6 @@ _BERNOULLI = (
     854513.0 / 138.0,
     -236364091.0 / 2730.0,
 )
-
-_LOG_EXPANSION_TERMS = 26  # next term is below 1e-27 for |ln x| <= ln 2
 
 
 def zeta_const(s: int) -> float:
@@ -100,29 +99,30 @@ def _horner(coeffs: tuple[float, ...], u: float) -> float:
     return total
 
 
-def _series_coeffs(s: int, a: float) -> tuple[float, ...]:
-    # 1/k^s for k = N..1: Li_s(x) = x * _horner(coeffs, x) on |x| <= a.  The
-    # tail after N terms is below y^(N+1) / ((N+1)^s (1-y)) and |Li_s(x)| >=
-    # y (1 - y/2^s), y = |x|; their ratio grows with y, so N is sized at y = a.
-    n = 1
-    while a**n / ((n + 1) ** s * (1.0 - a) * (1.0 - a / 2**s)) > 2.0**-56:
-        n += 1
-    return tuple(1.0 / k**s for k in range(n, 0, -1))
+def _sized_table(coeffs: list[float], bounds: list[float], least: float) -> tuple[float, ...]:
+    # ``coeffs`` (lowest power first) up to the last row whose bound at the table's
+    # edge reaches 2^-57 of ``least``, |f| where the tail's share of it is largest.
+    n = 1 + max(k for k, bound in enumerate(bounds) if bound >= 2.0**-57 * least)
+    return tuple(reversed(coeffs[:n]))
+
+
+def _power_series(s: int, a: float) -> tuple[float, ...]:
+    # 1/k^s for k = N..1: Li_s(x) = x * _horner(table, x) on |x| <= a.  Term k
+    # is at most a^k / k^s there, and the tail's share of |Li_s| is largest at -a.
+    coeffs = [1.0 / k**s for k in range(1, 81)]
+    least = abs(sum(c * (-a) ** k for k, c in enumerate(coeffs, 1)))
+    return _sized_table(coeffs, [c * a**k for k, c in enumerate(coeffs, 1)], least)
 
 
 # s -> (table for |x| <= _BAND, table for |x| <= _SERIES_CUT); the first is a
 # suffix of the second.
-_SERIES_COEFFS = {
-    s: (_series_coeffs(s, _BAND), _series_coeffs(s, _SERIES_CUT)) for s in range(2, 6)
-}
+_SERIES_COEFFS = {s: (_power_series(s, _BAND), _power_series(s, _SERIES_CUT)) for s in range(2, 6)}
 
 
 def _series_table(s: int, a: float) -> tuple[float, ...] | None:
     # The power-series table polylog(s, x) runs for |x| = a: the band's on
     # a <= _BAND, the full one up to _SERIES_CUT, and None beyond the cut.
-    if a > _SERIES_CUT:
-        return None
-    return _SERIES_COEFFS[s][a > _BAND]
+    return _SERIES_COEFFS[s][a > _BAND] if a <= _SERIES_CUT else None
 
 
 def _zeta_at(m: int) -> float:
@@ -137,13 +137,16 @@ def _zeta_at(m: int) -> float:
 
 
 def _log_coeffs(s: int) -> tuple[float, ...]:
-    # zeta(s-j)/j!, highest j first; the pole j = s-1 contributes
-    # H_{s-1}/(s-1)! here and its ln(-u) part in _log_expansion.
+    # zeta(s-j)/j! for j < 24, as far as _BERNOULLI reaches; the pole j = s-1
+    # contributes H_{s-1}/(s-1)! here and its ln(-u) part in _log_expansion.  Row
+    # j is at most |coeff ln(x)^j| on x > _SERIES_CUT, where Li_s is least at the cut.
     coeffs = []
-    for j in range(_LOG_EXPANSION_TERMS):
+    for j in range(2 * len(_BERNOULLI)):
         zeta = sum(1.0 / i for i in range(1, s)) if j == s - 1 else _zeta_at(s - j)
         coeffs.append(zeta / math.factorial(j))
-    return tuple(reversed(coeffs))
+    least = _SERIES_CUT * _horner(_SERIES_COEFFS[s][1], _SERIES_CUT)
+    bounds = [abs(c * math.log(_SERIES_CUT) ** j) for j, c in enumerate(coeffs)]
+    return _sized_table(coeffs, bounds, least)
 
 
 _LOG_COEFFS = {s: _log_coeffs(s) for s in range(2, 6)}
@@ -173,7 +176,7 @@ def _inversion(s: int, x: float) -> float:
 def polylog(s: int, x: float) -> float:
     """Polylogarithm Li_s(x) = sum_{k>=1} x^k / k^s for real x <= 1.
 
-    Within 1e-15 relative for s = 2..5 in every region (at most 8.1e-16
+    Within 1e-15 relative for s = 2..5 in every region (at most 8.5e-16
     against mpmath over ~26k points covering every region, the region and
     band edges x = +-1/4, +-1/2 and x = +-1 +- 2^-k).
     Li_1 is returned in closed form, -ln(1-x).  Li_s(-0.0) is -0.0.

@@ -3,11 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from legderiv import __version__, p_deriv
-from legderiv.cli import main
+from legderiv import DomainError, __version__, p_deriv
+from legderiv.cli import TableSpec, main, render_table
 
 
 @pytest.fixture()
@@ -40,6 +41,16 @@ class TestEval:
     def test_bad_order_exits_two(self, runner):
         result = runner.invoke(main, ["eval", "--n", "7", "--z", "0"])
         assert result.exit_code == 2
+        result = runner.invoke(main, ["table", "--orders", "5", "--z-start", "0", "--z-end", "1"])
+        assert result.exit_code == 2
+        # A spec built in Python takes orders as polylog.as_order does: bool
+        # and float are domain errors, and an integer-like order is a plain int.
+        for order in (True, 1.0, 5, -1):
+            with pytest.raises(DomainError):
+                TableSpec(orders=(order,), z_start=0.0, z_end=1.0, steps=2, fmt="csv")
+        spec = TableSpec(orders=(np.int64(2),), z_start=0.0, z_end=1.0, steps=2, fmt="csv")
+        assert type(spec.orders[0]) is int
+        assert render_table(spec).splitlines()[0] == "z,P2"
 
 
 class TestTable:

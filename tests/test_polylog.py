@@ -6,7 +6,9 @@ special values.  scipy supplies an extra independent route where it has
 one (spence, polygamma).
 """
 
+import importlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -140,12 +142,16 @@ class TestPolylogSeriesConsistency:
         # ln(x)-expansion, duplication and inversion branches; x = +-1/2, +-1/4
         # and their neighbours are where the fixed-length series and its banded
         # suffix truncate worst; +-3/4 sit inside the ln(x) and duplication regions.
+        # The dense sweeps of (1/2, 1) and [-1, -1/2) run the truncated ln(x)
+        # expansion over its whole range, directly and through duplication.
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
         points = [-1048576.0, -123.4, -2.0, -1.0, -0.99973, -0.9, -0.5, 0.3, 0.74,
                   0.76, 0.9, 0.995, 0.99994, 1.0 - 2.0**-20]
         for cut in (0.75, -0.75, 0.5, -0.5, 0.25, -0.25):
             points += [cut, math.nextafter(cut, 0.0), math.nextafter(cut, 2.0 * cut)]
+        points += [float(x) for x in np.linspace(0.5, 1.0, 66)[1:-1]]
+        points += [float(x) for x in np.linspace(-1.0, -0.5, 65)[:-1]]
         for s in (2, 3, 4, 5):
             for x in points:
                 reference = mp.polylog(s, mp.mpf(x))
@@ -164,6 +170,22 @@ class TestPolylogSeriesConsistency:
                 reference = mp.polylog(s, mp.mpf(x))
                 rel = float(abs((polylog(s, x) - reference) / reference))
                 assert rel <= 1e-15, (s, k, rel)
+
+    def test_docstring_table_lengths(self):
+        # The term counts the module docstring states are the lengths of the
+        # tables fixed at import: full and banded power series, ln(x) expansion.
+        kernel = importlib.import_module("legderiv.polylog")
+        doc = " ".join(kernel.__doc__.split())
+        counts = r"(\d+)/(\d+)/(\d+)/(\d+)"
+        full = re.search(rf"N = {counts} for s = 2\.\.5", doc).groups()
+        band = re.search(rf"last {counts} terms on the band", doc).groups()
+        log = re.search(rf"{counts} terms of the expansion in u = ln\(x\)", doc).groups()
+        for i, s in enumerate(range(2, 6)):
+            band_table, full_table = kernel._SERIES_COEFFS[s]
+            assert (len(full_table), len(band_table)) == (int(full[i]), int(band[i])), s
+            assert full_table[-len(band_table):] == band_table, s
+            assert len(kernel._LOG_COEFFS[s]) == int(log[i]), s
+            assert len(kernel._LOG_COEFFS[s]) <= 17, s
 
     def test_derivative_ladder(self):
         # x d/dx Li_s(x) = Li_{s-1}(x)
