@@ -8,6 +8,7 @@ code 1 a failed required verification check.
 
 from __future__ import annotations
 
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -38,13 +39,20 @@ class TableSpec:
     def __post_init__(self) -> None:
         if not self.orders:
             raise DomainError(f"orders must be a nonempty subset of 0..4, got {self.orders!r}")
-        object.__setattr__(self, "orders", tuple(as_order(n, 0, 4, "order") for n in self.orders))
+        orders = tuple(as_order(n, 0, 4, "order") for n in self.orders)
+        if len(set(orders)) < len(orders):
+            raise DomainError(f"orders must not repeat, got {self.orders!r}")
+        object.__setattr__(self, "orders", orders)
+        for name in ("z_start", "z_end"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise DomainError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not -1.0 < self.z_start < self.z_end <= 1.0:
             raise DomainError(
                 f"need -1 < z_start < z_end <= 1, got {self.z_start!r}, {self.z_end!r}"
             )
-        if not 2 <= self.steps <= _MAX_STEPS:
-            raise DomainError(f"steps must lie in 2..{_MAX_STEPS}, got {self.steps!r}")
+        object.__setattr__(self, "steps", as_order(self.steps, 2, _MAX_STEPS, "steps"))
         if self.fmt not in ("csv", "json"):
             raise DomainError(f"format must be csv or json, got {self.fmt!r}")
 

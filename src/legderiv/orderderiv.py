@@ -10,12 +10,13 @@ n = 0..4, with t = (1+z)/2 and u = (1-z)/2.  The paper's closed forms are
     P4 = pi^4/15 + 24 [ ... ]          (grouped bracket, see _closed_form)
 
 P0..P2 are evaluated from them.  P3 and P4 are one Horner pass over tables
-fixed at import, cut at z = 0: on z >= 0 the series in u of
+fixed at import, split at z = 0: on z >= 0 the series in u of
 P_nu = F(-nu, nu+1; 1; u), whose nu^n coefficients have one sign, so nothing
 cancels as z -> 1; on z < 0 Pn = sum_k (A_k + B_k ln t) t^k (DLMF 15.8.10).
-polylog's edges and sizing rule cut them, with a shorter suffix for u or
-t <= 1/4 (|z| >= 1/2).  ``p_derivs(z)`` gives P0..P4 at one z from one
-Horner loop over the same tables side by side.
+Each is cut at u or t = 1/2 and re-expanded about the midpoint of each
+1/8-wide piece of [0, 1/2] by polylog's sizing rule, to 14-18 rows in u
+(Pn/u^2) and 14-19 in t; ``polylog._piece`` picks the piece.  ``p_derivs(z)``
+gives P0..P4 at one z from one Horner loop over one piece's tables side by side.
 
 The module also carries every intermediate closed form the P4 derivation
 runs through: the inner integral I(z) = (1+z) P3(z), the antiderivative
@@ -33,7 +34,8 @@ from __future__ import annotations
 import math
 
 from .exceptions import DomainError
-from .polylog import _BAND, _SERIES_CUT, _horner, _series_table, _sized_table
+from .polylog import _MIDPOINTS, _SERIES_CUT, _SERIES_PIECES, _horner, _piece, _recentred
+from .polylog import _sized_table
 from .polylog import as_order, polylog, zeta_const
 
 __all__ = [
@@ -52,20 +54,21 @@ _PI2 = math.pi**2
 _PI4 = math.pi**4
 
 
-def _bounds(a: list[float], b: list[float], x: float) -> tuple[list[float], float]:
-    # _sized_table's bounds for sum_k (a_k + b_k ln t) t^k on t <= x: row k is at
-    # most (|a_k| + |ln x| |b_k|) x^k, as |ln t| t^k grows there from row 2 on, and
+def _bounds(a: list[float], b: list[float]) -> tuple[list[float], float]:
+    # _sized_table's bounds for sum_k (a_k + b_k ln t) t^k on t <= x = 1/2: row k is
+    # at most (|a_k| + |ln x| |b_k|) x^k, as |ln t| t^k grows there from row 2 on, and
     # the tail's share of |Pn| is largest at t = x (the u-series, b = 0, has one sign).
+    x = _SERIES_CUT
     lx = math.log(x)
     value = abs(sum((p + lx * q) * x**k for k, (p, q) in enumerate(zip(a, b))))
     return [(abs(p) - lx * abs(q)) * x**k for k, (p, q) in enumerate(zip(a, b))], value
 
 
-def _nu_tables() -> dict[int, tuple[tuple[tuple[float, ...], ...], ...]]:
-    # n -> (U, A, B), each a (band, full) pair cut at polylog's edges, highest
-    # power first, from 80 rows of nu-Taylor coefficients.  With s = -sin(pi nu)/pi,
-    # DLMF 15.8.10 gives B_k = -s c_k and A_k = s c_k [2 psi(k+1) - psi(k-nu)
-    # - psi(k+1+nu)] = s c_k [1/k + nu/k^2 + (2 zeta(3,k) - 1/k^3) nu^2 + ...], as
+def _nu_tables() -> dict[int, dict[int, tuple[tuple[float, ...], ...]]]:
+    # n -> piece -> (U, A, B) for the pieces 4..7 of [0, 1/2], from 80 rows of
+    # nu-Taylor coefficients cut at u = t = 1/2 and re-centred on each piece.  With
+    # s = -sin(pi nu)/pi, DLMF 15.8.10 gives B_k = -s c_k and A_k = s c_k [2 psi(k+1)
+    # - psi(k-nu) - psi(k+1+nu)] = s c_k [1/k + nu/k^2 + (2 zeta(3,k) - 1/k^3) nu^2 + ...], as
     # s c_k = O(nu^2); at k = 0 psi(-nu)'s pole cancels s.
     zeta3 = zeta_const(3)  # zeta(3, k) = zeta(3) - sum_{j<k} 1/j^3
     c = [[1.0, 0.0, 0.0, 0.0, 0.0]]
@@ -81,13 +84,12 @@ def _nu_tables() -> dict[int, tuple[tuple[tuple[float, ...], ...], ...]]:
     tables = {}
     for n in (3, 4):
         cn, an, bn = ([math.factorial(n) * row[n] for row in rows] for rows in (c, a, b))
-        u_bounds = [_bounds(cn, [0.0] * len(cn), x) for x in (_BAND, _SERIES_CUT)]
-        t_bounds = [_bounds(an, bn, x) for x in (_BAND, _SERIES_CUT)]
-        tables[n] = (
-            tuple(_sized_table(cn, *cut)[:-1] for cut in u_bounds),  # c_0 = 1 only feeds P0
-            tuple(_sized_table(an, *cut) for cut in t_bounds),
-            tuple(_sized_table(bn, *cut) for cut in t_bounds),
-        )
+        # Pn / u^2 on z >= 0: c_0 = 1 only feeds P0, c_1 = 0 for n >= 2, and without
+        # the u^2 the first piece would cancel as u -> 0.
+        un = _sized_table(cn[2:], *_bounds(cn[2:], [0.0] * len(cn)))
+        cut = _bounds(an, bn)
+        an, bn = _sized_table(an, *cut), _sized_table(bn, *cut)
+        tables[n] = {i: _recentred(i, un) + _recentred(i, an, bn) for i in range(4, 8)}
     return tables
 
 
@@ -100,14 +102,13 @@ def _rows(*columns: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
 
 
 _NU_TABLES = _nu_tables()
-# p_derivs' rows, as (band, full) pairs: (Li_2 series, U3, U4) on z >= 0 and
+# p_derivs' rows per piece of [0, 1/2]: (Li_2 series, U3, U4) on z >= 0 and
 # (A3, B3, A4, B4) on z < 0.  The Li_2 column is the table polylog(2, u) runs
-# on the same band, so P2 keeps polylog's bits.
-_U_ROWS = tuple(
-    _rows(_series_table(2, edge), _NU_TABLES[3][0][i], _NU_TABLES[4][0][i])
-    for i, edge in enumerate((_BAND, _SERIES_CUT))
-)
-_T_ROWS = tuple(_rows(*(_NU_TABLES[n][j][i] for n in (3, 4) for j in (1, 2))) for i in (0, 1))
+# on the same piece, so P2 keeps polylog's bits.
+_U_ROWS = {
+    i: _rows(_SERIES_PIECES[2][i], _NU_TABLES[3][i][0], _NU_TABLES[4][i][0]) for i in range(4, 8)
+}
+_T_ROWS = {i: _rows(*(_NU_TABLES[n][i][j] for n in (3, 4) for j in (1, 2))) for i in range(4, 8)}
 
 
 def _check_z(n: int, z: float) -> float:
@@ -128,47 +129,55 @@ def _check_z(n: int, z: float) -> float:
 def p_deriv(n: int, z: float) -> float:
     """Order-derivative Pn(z) for n in 0..4, z in (-1, 1] (open at -1).
 
-    P0..P2 from the closed forms, P3 and P4 from the u-series table on z >= 0
-    and the (A_k + B_k ln t) t-series tables on z < 0, each cut to a shorter
-    suffix where u or t is at most 1/4 (|z| >= 1/2): within 1e-15 relative on
-    z >= 0 and 1e-14 on z < 0.  Pn(1) is exactly 0 for n >= 1, 1 for n = 0.
+    P0..P2 from the closed forms, P3 and P4 from the u^2-factored u-series table
+    on z >= 0 and the (A_k + B_k ln t) t-series tables on z < 0, each re-expanded
+    about the midpoint of the 1/8-wide piece that holds u or t: within 1e-15
+    relative on z >= 0 and 1e-14 on z < 0.  Pn(1) is exactly 0 for n >= 1, 1 for
+    n = 0.
     """
     n = as_order(n, 0, 4, "derivative order")
     z = _check_z(n, z)
     if n < 3:
         return _closed_form(n, z)
-    u_tables, a_tables, b_tables = _NU_TABLES[n]
     if z >= 0.0:
         u = 0.5 * (1.0 - z)
-        return u * _horner(u_tables[u > _BAND], u) + 0.0
+        i = _piece(u)
+        return u * u * _horner(_NU_TABLES[n][i][0], u - _MIDPOINTS[i]) + 0.0
     t = 0.5 * (1.0 + z)
-    full = t > _BAND
-    return _horner(a_tables[full], t) + math.log(t) * _horner(b_tables[full], t)
+    i = _piece(t)
+    _, a_table, b_table = _NU_TABLES[n][i]
+    h = t - _MIDPOINTS[i]
+    return _horner(a_table, h) + math.log(t) * _horner(b_table, h)
 
 
 def p_derivs(z: float) -> tuple[float, float, float, float, float]:
     """All five order-derivatives (P0, P1, P2, P3, P4) at one z in (-1, 1].
 
-    One domain check and one Horner pass over the table rows: (Li_2 series,
-    U3, U4) on z >= 0, (A3, B3, A4, B4) on z < 0, where P2 is -2 Li_2(u) and
-    ln t is shared by P1, P3 and P4.  Element n equals p_deriv(n, z) bit for bit.
+    One domain check and one Horner pass over the rows of the piece that holds
+    u or t: (Li_2 series, U3, U4) on z >= 0, (A3, B3, A4, B4) on z < 0, where P2
+    is -2 Li_2(u) and ln t is shared by P1, P3 and P4.  Element n equals
+    p_deriv(n, z) bit for bit.
     """
     z = _check_z(1, z)
     u = 0.5 * (1.0 - z)
     if z >= 0.0:
+        i = _piece(u)
+        h = u - _MIDPOINTS[i]
         p2 = p3 = p4 = 0.0
-        for c2, c3, c4 in _U_ROWS[u > _BAND]:
-            p2 = p2 * u + c2
-            p3 = p3 * u + c3
-            p4 = p4 * u + c4
-        return 1.0, _closed_form(1, z), -2.0 * (u * p2) + 0.0, u * p3 + 0.0, u * p4 + 0.0
+        for c2, c3, c4 in _U_ROWS[i]:
+            p2 = p2 * h + c2
+            p3 = p3 * h + c3
+            p4 = p4 * h + c4
+        return 1.0, _closed_form(1, z), -2.0 * (u * p2) + 0.0, u * u * p3 + 0.0, u * u * p4 + 0.0
     t = 0.5 * (1.0 + z)
+    i = _piece(t)
+    h = t - _MIDPOINTS[i]
     a3 = b3 = a4 = b4 = 0.0
-    for ca3, cb3, ca4, cb4 in _T_ROWS[t > _BAND]:
-        a3 = a3 * t + ca3
-        b3 = b3 * t + cb3
-        a4 = a4 * t + ca4
-        b4 = b4 * t + cb4
+    for ca3, cb3, ca4, cb4 in _T_ROWS[i]:
+        a3 = a3 * h + ca3
+        b3 = b3 * h + cb3
+        a4 = a4 * h + ca4
+        b4 = b4 * h + cb4
     lt = math.log(t)
     return 1.0, lt, -2.0 * polylog(2, u) + 0.0, a3 + lt * b3, a4 + lt * b4
 

@@ -5,8 +5,12 @@ Everything is plain double precision and pure-functional.
 
 Evaluation regions for Li_s(x), x <= 1:
 
-* ``|x| <= 1/2``      power series  sum_{k=1..N} x^k / k^s, N = 47/41/37/32 for s = 2..5,
-                      cut to its last 24/22/20/18 terms on the band |x| <= 1/4
+* ``|x| <= 1/2``      power series sum_k x^k / k^s, re-expanded about the midpoint
+                      of each 1/8-wide piece; terms per piece, from -1/2 up:
+                      s = 2: 12/12/12/13/13/14/15/16
+                      s = 3: 11/11/11/12/12/13/13/14
+                      s = 4: 10/11/11/11/11/12/12/13
+                      s = 5: 10/10/10/10/11/11/11/12
 * ``1/2 < x < 1``     16/17/16/15 terms of the expansion in u = ln(x) with zeta coefficients
 * ``x = 1``           zeta(s) (s >= 2; Li_1(1) diverges)
 * ``-1 <= x < -1/2``  duplication  Li_s(x) = 2^(1-s) Li_s(x^2) - Li_s(-x)
@@ -14,9 +18,12 @@ Evaluation regions for Li_s(x), x <= 1:
 
 Both series, and trigamma's asymptotic tail, are one Horner pass over a
 table fixed at import; nothing tests for convergence at run time.  One rule
-sizes both series and orderderiv's nu-tables at the same edges 1/4 and 1/2:
-keep the rows up to the last whose bound at the table's edge reaches 2^-57
-of |f| where the tail's share of it is largest (``_sized_table``).
+sizes both series and orderderiv's nu-tables: keep the rows up to the last
+whose bound on the table's range reaches 2^-57 of |f| where the tail's share
+of it is largest (``_sized_table``).  Each series is sized so on |x| <= 1/2,
+then re-expanded about each piece's midpoint and sized again on the piece,
+against the least |f| there (``_recentred``).  ``_piece(x)`` says which
+piece's table runs, for polylog and orderderiv alike.
 
 Every sub-argument generated by the duplication/inversion branches lands
 in the series or ln(x) region after at most two hops, so the recursion
@@ -33,9 +40,11 @@ from .exceptions import DomainError
 
 __all__ = ["polylog", "zeta_const", "trigamma"]
 
-# Every series table, orderderiv's too, runs in full up to _SERIES_CUT and as
-# a shorter suffix on arguments <= _BAND.
-_SERIES_CUT, _BAND = 0.5, 0.25
+# Every series table, orderderiv's too, runs on |x| <= _SERIES_CUT, re-expanded
+# about the midpoint of each 1/8-wide piece; _piece(x) says which piece runs.
+_SERIES_CUT = 0.5
+_MIDPOINTS = tuple((2 * i - 7) / 16.0 for i in range(8))
+_RECENTRED_ROWS = 24  # (1/16)^24 = 2^-96: no re-centred table needs more rows
 
 # zeta(3), zeta(5) to 30 significant digits; zeta(2), zeta(4) are exact
 # pi-powers and are formed from math.pi at import time.
@@ -100,29 +109,65 @@ def _horner(coeffs: tuple[float, ...], u: float) -> float:
 
 
 def _sized_table(coeffs: list[float], bounds: list[float], least: float) -> tuple[float, ...]:
-    # ``coeffs`` (lowest power first) up to the last row whose bound at the table's
-    # edge reaches 2^-57 of ``least``, |f| where the tail's share of it is largest.
+    # ``coeffs`` (lowest power first) up to the last row whose bound on the table's
+    # range reaches 2^-57 of ``least``, |f| where the tail's share of it is largest.
     n = 1 + max(k for k, bound in enumerate(bounds) if bound >= 2.0**-57 * least)
     return tuple(reversed(coeffs[:n]))
 
 
-def _power_series(s: int, a: float) -> tuple[float, ...]:
-    # 1/k^s for k = N..1: Li_s(x) = x * _horner(table, x) on |x| <= a.  Term k
-    # is at most a^k / k^s there, and the tail's share of |Li_s| is largest at -a.
+def _piece(x: float) -> int:
+    # The 1/8-wide piece of [-1/2, 1/2] that holds x, numbered 0..7 from -1/2 up;
+    # 8x and its floor are exact, and x = 1/2 joins the top piece.
+    return min(math.floor(8.0 * x), 3) + 4
+
+
+def _taylor_at(table: tuple[float, ...], c: float) -> list[float]:
+    # The first _RECENTRED_ROWS Taylor coefficients about c, lowest power first, of
+    # the polynomial ``table`` lists highest power first: each synthetic division
+    # by (x - c) leaves the next one as its remainder.
+    table, coeffs = list(table), []
+    while table and len(coeffs) < _RECENTRED_ROWS:
+        total = 0.0
+        for k, coeff in enumerate(table):
+            total = table[k] = total * c + coeff
+        coeffs.append(table.pop())
+    return coeffs
+
+
+def _recentred(
+    i: int, a: tuple[float, ...], b: tuple[float, ...] = ()
+) -> tuple[tuple[float, ...], ...]:
+    # f(x) = a(x) + ln(x) b(x), a and b listed highest power first, as tables in
+    # h = x - c about piece i's midpoint c, cut alike.  Row j is at most
+    # (|a_j| + L |b_j|) (1/16)^j on the piece, L the largest |ln x| there (x >= 2^-54,
+    # the least t = (1+z)/2 of a float z > -1); |f| is monotone on every piece,
+    # so it is least at one of the piece's ends.
+    c = _MIDPOINTS[i]
+    columns = [_taylor_at(table, c) for table in (a, b) if table]
+    ends = (c - 0.0625, c + 0.0625)
+    if b:
+        ends = (max(ends[0], 2.0**-54), ends[1])
+        rows = [abs(p) - math.log(ends[0]) * abs(q) for p, q in zip(*columns)]
+        least = min(abs(_horner(a, x) + math.log(x) * _horner(b, x)) for x in ends)
+    else:
+        rows = [abs(p) for p in columns[0]]
+        least = min(abs(_horner(a, x)) for x in ends)
+    bounds = [row * 0.0625**j for j, row in enumerate(rows)]
+    return tuple(_sized_table(coeffs, bounds, least) for coeffs in columns)
+
+
+def _series_pieces(s: int) -> tuple[tuple[float, ...], ...]:
+    # Li_s(x) = x * _horner(series, x) on |x| <= a = _SERIES_CUT, series = 1/k^s for
+    # k = N..1: term k is at most a^k / k^s there, and the tail's share of |Li_s| is
+    # largest at -a.  Piece i's table gives Li_s(x) = x * _horner(table, x - c_i).
+    a = _SERIES_CUT
     coeffs = [1.0 / k**s for k in range(1, 81)]
-    least = abs(sum(c * (-a) ** k for k, c in enumerate(coeffs, 1)))
-    return _sized_table(coeffs, [c * a**k for k, c in enumerate(coeffs, 1)], least)
+    least = abs(sum(coeff * (-a) ** k for k, coeff in enumerate(coeffs, 1)))
+    series = _sized_table(coeffs, [coeff * a**k for k, coeff in enumerate(coeffs, 1)], least)
+    return tuple(_recentred(i, series)[0] for i in range(len(_MIDPOINTS)))
 
 
-# s -> (table for |x| <= _BAND, table for |x| <= _SERIES_CUT); the first is a
-# suffix of the second.
-_SERIES_COEFFS = {s: (_power_series(s, _BAND), _power_series(s, _SERIES_CUT)) for s in range(2, 6)}
-
-
-def _series_table(s: int, a: float) -> tuple[float, ...] | None:
-    # The power-series table polylog(s, x) runs for |x| = a: the band's on
-    # a <= _BAND, the full one up to _SERIES_CUT, and None beyond the cut.
-    return _SERIES_COEFFS[s][a > _BAND] if a <= _SERIES_CUT else None
+_SERIES_PIECES = {s: _series_pieces(s) for s in range(2, 6)}
 
 
 def _zeta_at(m: int) -> float:
@@ -144,7 +189,7 @@ def _log_coeffs(s: int) -> tuple[float, ...]:
     for j in range(2 * len(_BERNOULLI)):
         zeta = sum(1.0 / i for i in range(1, s)) if j == s - 1 else _zeta_at(s - j)
         coeffs.append(zeta / math.factorial(j))
-    least = _SERIES_CUT * _horner(_SERIES_COEFFS[s][1], _SERIES_CUT)
+    least = _SERIES_CUT * _horner(_SERIES_PIECES[s][-1], _SERIES_CUT - _MIDPOINTS[-1])
     bounds = [abs(c * math.log(_SERIES_CUT) ** j) for j, c in enumerate(coeffs)]
     return _sized_table(coeffs, bounds, least)
 
@@ -177,8 +222,8 @@ def polylog(s: int, x: float) -> float:
     """Polylogarithm Li_s(x) = sum_{k>=1} x^k / k^s for real x <= 1.
 
     Within 1e-15 relative for s = 2..5 in every region (at most 8.5e-16
-    against mpmath over ~26k points covering every region, the region and
-    band edges x = +-1/4, +-1/2 and x = +-1 +- 2^-k).
+    against mpmath over ~26k points covering every region, the piece and
+    region edges x = k/8, k = -4..4, and x = +-1 +- 2^-k).
     Li_1 is returned in closed form, -ln(1-x).  Li_s(-0.0) is -0.0.
 
     Raises DomainError for x > 1, for non-finite x and for the divergent
@@ -194,9 +239,9 @@ def polylog(s: int, x: float) -> float:
         return -math.log1p(-x)
     if x == 1.0:
         return zeta_const(s)
-    table = _series_table(s, abs(x))
-    if table is not None:
-        return x * _horner(table, x)
+    if -_SERIES_CUT <= x <= _SERIES_CUT:
+        i = _piece(x)
+        return x * _horner(_SERIES_PIECES[s][i], x - _MIDPOINTS[i])
     if x > 0.0:
         return _log_expansion(s, x)
     if x >= -1.0:

@@ -52,6 +52,33 @@ class TestEval:
         assert type(spec.orders[0]) is int
         assert render_table(spec).splitlines()[0] == "z,P2"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_repeated_orders_are_a_domain_error(self, runner, fmt):
+        # The CSV header would repeat the column while JSON collapsed the key.
+        with pytest.raises(DomainError):
+            TableSpec(orders=(3, 1, 3), z_start=0.0, z_end=1.0, steps=2, fmt=fmt)
+        result = runner.invoke(main, ["table", "--orders", "3,1,3", "--z-start", "0",
+                                      "--z-end", "1", "--steps", "2", "--format", fmt])
+        assert result.exit_code == 0
+        if fmt == "csv":
+            assert result.output.splitlines()[0] == "z,P1,P3"
+        else:
+            assert list(json.loads(result.output)[0]) == ["z", "P1", "P3"]
+
+    def test_spec_argument_types(self):
+        # steps goes through polylog.as_order; z_start and z_end are stored as
+        # floats, and bool is no number (z_end=True rendered a row "True,...").
+        for steps in (2.5, True, 1, 10**6 + 1):
+            with pytest.raises(DomainError):
+                TableSpec(orders=(1,), z_start=0.0, z_end=1.0, steps=steps, fmt="csv")
+        for z_start, z_end in ((0, True), (False, 1.0), ("0", 1.0), (0.0, None)):
+            with pytest.raises(DomainError):
+                TableSpec(orders=(1,), z_start=z_start, z_end=z_end, steps=2, fmt="csv")
+        spec = TableSpec(orders=(1,), z_start=0, z_end=np.float64(1.0), steps=np.int64(2),
+                         fmt="csv")
+        assert (type(spec.z_start), type(spec.z_end), type(spec.steps)) == (float, float, int)
+        assert [row.split(",")[0] for row in render_table(spec).splitlines()] == ["z", "0.0", "1.0"]
+
 
 class TestTable:
     def test_two_point_grid(self, runner):

@@ -48,12 +48,14 @@ P4_REFERENCE = {
 }
 
 
-# z = +-(1 - 10^-k), k = 1..15, a grid on each half of the domain, and the
-# band edges z = +-1/2 (u or t = 1/4) with their neighbours
-UPPER_HALF = tuple(1.0 - 10.0**-k for k in range(1, 16)) + (0.0, 0.2, 0.4, 0.6, 0.8) + (
-    0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0))
-LOWER_HALF = tuple(-(1.0 - 10.0**-k) for k in range(1, 16)) + (-0.2, -0.4, -0.6, -0.8) + (
-    -0.5, math.nextafter(-0.5, 0.0), math.nextafter(-0.5, -1.0))
+# z = +-(1 - 10^-k), k = 1..15, a grid on each half of the domain, and
+# z = +-1/4, +-1/2, +-3/4 (u or t = 3/8, 1/4, 1/8, ends of the table pieces)
+# with their neighbours
+PIECE_EDGES = tuple(
+    e for z in (0.25, 0.5, 0.75) for e in (z, math.nextafter(z, 0.0), math.nextafter(z, 1.0)))
+UPPER_HALF = tuple(1.0 - 10.0**-k for k in range(1, 16)) + (0.0, 0.2, 0.4, 0.6, 0.8) + PIECE_EDGES
+LOWER_HALF = tuple(-(1.0 - 10.0**-k) for k in range(1, 16)) + (-0.2, -0.4, -0.6, -0.8) + tuple(
+    -z for z in PIECE_EDGES)
 
 
 def mpmath_order_derivatives(z):
@@ -106,10 +108,11 @@ class TestPDeriv:
                 assert rel <= bound, (n, z, rel)
 
     def test_p_derivs_is_p_deriv_bit_for_bit(self):
-        # one fused Horner pass over zero-padded rows, banded at u, t = 1/4
-        # (z = +-1/2) and cut at z = 0, against one table pass per order
+        # one fused Horner pass over zero-padded rows, per piece of u or t
+        # (ends at z = +-1/4, +-1/2, +-3/4) and split at z = 0, against one
+        # table pass per order
         zs = [k / 500.0 for k in range(-499, 501)] + [1.0, 0.0, -0.0]
-        for edge in (0.5, -0.5, 0.0):
+        for edge in (0.25, -0.25, 0.5, -0.5, 0.75, -0.75, 0.0):
             zs += [edge, math.nextafter(edge, 1.0), math.nextafter(edge, -1.0)]
         zs += [sign * (1.0 - 10.0**-k) for k in range(1, 16) for sign in (1.0, -1.0)]
         for z in zs:

@@ -139,16 +139,17 @@ class TestPolylogSeriesConsistency:
 
     def test_against_mpmath_all_regions(self):
         # independent high-precision implementation, covering the series,
-        # ln(x)-expansion, duplication and inversion branches; x = +-1/2, +-1/4
-        # and their neighbours are where the fixed-length series and its banded
-        # suffix truncate worst; +-3/4 sit inside the ln(x) and duplication regions.
-        # The dense sweeps of (1/2, 1) and [-1, -1/2) run the truncated ln(x)
-        # expansion over its whole range, directly and through duplication.
+        # ln(x)-expansion, duplication and inversion branches; x = +-k/8 and
+        # their neighbours are the ends of the series pieces, where each
+        # re-centred table truncates worst; +-3/4 sit inside the ln(x) and
+        # duplication regions.  The dense sweeps of (1/2, 1) and [-1, -1/2) run
+        # the truncated ln(x) expansion over its whole range, directly and
+        # through duplication.
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
         points = [-1048576.0, -123.4, -2.0, -1.0, -0.99973, -0.9, -0.5, 0.3, 0.74,
                   0.76, 0.9, 0.995, 0.99994, 1.0 - 2.0**-20]
-        for cut in (0.75, -0.75, 0.5, -0.5, 0.25, -0.25):
+        for cut in (0.75, -0.75) + tuple(sign * k / 8.0 for k in range(1, 5) for sign in (1, -1)):
             points += [cut, math.nextafter(cut, 0.0), math.nextafter(cut, 2.0 * cut)]
         points += [float(x) for x in np.linspace(0.5, 1.0, 66)[1:-1]]
         points += [float(x) for x in np.linspace(-1.0, -0.5, 65)[:-1]]
@@ -173,18 +174,17 @@ class TestPolylogSeriesConsistency:
 
     def test_docstring_table_lengths(self):
         # The term counts the module docstring states are the lengths of the
-        # tables fixed at import: full and banded power series, ln(x) expansion.
+        # tables fixed at import: the re-centred power series per piece, from
+        # x = -1/2 up, and the ln(x) expansion.
         kernel = importlib.import_module("legderiv.polylog")
         doc = " ".join(kernel.__doc__.split())
-        counts = r"(\d+)/(\d+)/(\d+)/(\d+)"
-        full = re.search(rf"N = {counts} for s = 2\.\.5", doc).groups()
-        band = re.search(rf"last {counts} terms on the band", doc).groups()
-        log = re.search(rf"{counts} terms of the expansion in u = ln\(x\)", doc).groups()
+        log = re.search(r"(\d+)/(\d+)/(\d+)/(\d+) terms of the expansion in u = ln\(x\)", doc)
         for i, s in enumerate(range(2, 6)):
-            band_table, full_table = kernel._SERIES_COEFFS[s]
-            assert (len(full_table), len(band_table)) == (int(full[i]), int(band[i])), s
-            assert full_table[-len(band_table):] == band_table, s
-            assert len(kernel._LOG_COEFFS[s]) == int(log[i]), s
+            pieces = re.search(rf"s = {s}: (\d+(?:/\d+){{7}})", doc).group(1)
+            lengths = [len(table) for table in kernel._SERIES_PIECES[s]]
+            assert lengths == [int(n) for n in pieces.split("/")], s
+            assert max(lengths) <= 16, s
+            assert len(kernel._LOG_COEFFS[s]) == int(log.group(i + 1)), s
             assert len(kernel._LOG_COEFFS[s]) <= 17, s
 
     def test_derivative_ladder(self):
