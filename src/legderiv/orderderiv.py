@@ -65,7 +65,7 @@ def _bounds(a: list[float], b: list[float]) -> tuple[list[float], float]:
 
 
 def _nu_tables() -> dict[int, dict[int, tuple[tuple[float, ...], ...]]]:
-    # n -> piece -> (U, A, B) for the pieces 4..7 of [0, 1/2], from 80 rows of
+    # n -> piece -> (U, A, B) for the pieces 8..11 of [0, 1/2], from 80 rows of
     # nu-Taylor coefficients cut at u = t = 1/2 and re-centred on each piece.  With
     # s = -sin(pi nu)/pi, DLMF 15.8.10 gives B_k = -s c_k and A_k = s c_k [2 psi(k+1)
     # - psi(k-nu) - psi(k+1+nu)] = s c_k [1/k + nu/k^2 + (2 zeta(3,k) - 1/k^3) nu^2 + ...], as
@@ -89,7 +89,7 @@ def _nu_tables() -> dict[int, dict[int, tuple[tuple[float, ...], ...]]]:
         un = _sized_table(cn[2:], *_bounds(cn[2:], [0.0] * len(cn)))
         cut = _bounds(an, bn)
         an, bn = _sized_table(an, *cut), _sized_table(bn, *cut)
-        tables[n] = {i: _recentred(i, un) + _recentred(i, an, bn) for i in range(4, 8)}
+        tables[n] = {i: _recentred(i, un) + _recentred(i, an, bn) for i in range(8, 12)}
     return tables
 
 
@@ -106,9 +106,9 @@ _NU_TABLES = _nu_tables()
 # (A3, B3, A4, B4) on z < 0.  The Li_2 column is the table polylog(2, u) runs
 # on the same piece, so P2 keeps polylog's bits.
 _U_ROWS = {
-    i: _rows(_SERIES_PIECES[2][i], _NU_TABLES[3][i][0], _NU_TABLES[4][i][0]) for i in range(4, 8)
+    i: _rows(_SERIES_PIECES[2][i], _NU_TABLES[3][i][0], _NU_TABLES[4][i][0]) for i in range(8, 12)
 }
-_T_ROWS = {i: _rows(*(_NU_TABLES[n][i][j] for n in (3, 4) for j in (1, 2))) for i in range(4, 8)}
+_T_ROWS = {i: _rows(*(_NU_TABLES[n][i][j] for n in (3, 4) for j in (1, 2))) for i in range(8, 12)}
 
 
 def _check_z(n: int, z: float) -> float:

@@ -5,33 +5,31 @@ Everything is plain double precision and pure-functional.
 
 Evaluation regions for Li_s(x), x <= 1:
 
-* ``|x| <= 1/2``      power series sum_k x^k / k^s, re-expanded about the midpoint
-                      of each 1/8-wide piece; terms per piece, from -1/2 up:
-                      s = 2: 12/12/12/13/13/14/15/16
-                      s = 3: 11/11/11/12/12/13/13/14
-                      s = 4: 10/11/11/11/11/12/12/13
-                      s = 5: 10/10/10/10/11/11/11/12
+* ``-1 <= x <= 1/2``  the power series sum_k x^k / k^s (|x| <= 1/2) or the series
+                      about -1 (x < -1/2), re-expanded about the midpoint of each
+                      1/8-wide piece; terms per piece, from -1 up:
+                      s = 2: 11/11/11/11/12/12/12/13/13/14/15/16
+                      s = 3: 10/10/11/11/11/11/11/12/12/13/13/14
+                      s = 4: 10/10/10/10/10/11/11/11/11/12/12/13
+                      s = 5: 9/9/9/10/10/10/10/10/11/11/11/12
 * ``1/2 < x < 1``     16/17/16/15 terms of the expansion in u = ln(x) with zeta coefficients
 * ``x = 1``           zeta(s) (s >= 2; Li_1(1) diverges)
-* ``-1 <= x < -1/2``  duplication  Li_s(x) = 2^(1-s) Li_s(x^2) - Li_s(-x)
-* ``x < -1``          real inversion identities in terms of Li_s(1/x)
+* ``x < -1``          real inversion identities in terms of Li_s(1/x), 1/x on a piece
 
-Both series, and trigamma's asymptotic tail, are one Horner pass over a
+Every series, and trigamma's asymptotic tail, is one Horner pass over a
 table fixed at import; nothing tests for convergence at run time.  One rule
-sizes both series and orderderiv's nu-tables: keep the rows up to the last
+sizes every series and orderderiv's nu-tables: keep the rows up to the last
 whose bound on the table's range reaches 2^-57 of |f| where the tail's share
-of it is largest (``_sized_table``).  Each series is sized so on |x| <= 1/2,
-then re-expanded about each piece's midpoint and sized again on the piece,
-against the least |f| there (``_recentred``).  ``_piece(x)`` says which
-piece's table runs, for polylog and orderderiv alike.
-
-Every sub-argument generated by the duplication/inversion branches lands
-in the series or ln(x) region after at most two hops, so the recursion
-is shallow and cycle-free.
+of it is largest (``_sized_table``).  Each series is sized so on its half of
+[-1, 1/2], then re-expanded about each piece's midpoint and sized again on
+the piece, against the least |f| there (``_recentred``).  ``_piece(x)`` says
+which piece's table runs, for polylog and orderderiv alike.  Inversion, the
+only branch that recurses, lands on a piece: every call takes at most one hop.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import sys
@@ -40,10 +38,10 @@ from .exceptions import DomainError
 
 __all__ = ["polylog", "zeta_const", "trigamma"]
 
-# Every series table, orderderiv's too, runs on |x| <= _SERIES_CUT, re-expanded
-# about the midpoint of each 1/8-wide piece; _piece(x) says which piece runs.
+# Every series table, orderderiv's too, is cut _SERIES_CUT from where it is expanded
+# and re-expanded about each 1/8-wide piece's midpoint; _piece(x) says which runs.
 _SERIES_CUT = 0.5
-_MIDPOINTS = tuple((2 * i - 7) / 16.0 for i in range(8))
+_MIDPOINTS = tuple((2 * i - 15) / 16.0 for i in range(12))
 _RECENTRED_ROWS = 24  # (1/16)^24 = 2^-96: no re-centred table needs more rows
 
 # zeta(3), zeta(5) to 30 significant digits; zeta(2), zeta(4) are exact
@@ -89,6 +87,8 @@ def as_order(value: object, lo: int, hi: float, what: str) -> int:
 
     Raises DomainError otherwise.
     """
+    if type(value) is int and lo <= value <= hi:
+        return value
     if not isinstance(value, bool):
         try:
             order = operator.index(value)
@@ -116,9 +116,9 @@ def _sized_table(coeffs: list[float], bounds: list[float], least: float) -> tupl
 
 
 def _piece(x: float) -> int:
-    # The 1/8-wide piece of [-1/2, 1/2] that holds x, numbered 0..7 from -1/2 up;
+    # The 1/8-wide piece of [-1, 1/2] that holds x, numbered 0..11 from -1 up;
     # 8x and its floor are exact, and x = 1/2 joins the top piece.
-    return min(math.floor(8.0 * x), 3) + 4
+    return min(math.floor(8.0 * x), 3) + 8
 
 
 def _taylor_at(table: tuple[float, ...], c: float) -> list[float]:
@@ -135,36 +135,48 @@ def _taylor_at(table: tuple[float, ...], c: float) -> list[float]:
 
 
 def _recentred(
-    i: int, a: tuple[float, ...], b: tuple[float, ...] = ()
+    i: int, a: tuple[float, ...], b: tuple[float, ...] = (), x0: float = 0.0
 ) -> tuple[tuple[float, ...], ...]:
-    # f(x) = a(x) + ln(x) b(x), a and b listed highest power first, as tables in
-    # h = x - c about piece i's midpoint c, cut alike.  Row j is at most
+    # f(x) = a(x) + ln(x) b(x), a and b listed highest power first in x - x0,
+    # as tables in h = x - c about piece i's midpoint c, cut alike.  Row j is at most
     # (|a_j| + L |b_j|) (1/16)^j on the piece, L the largest |ln x| there (x >= 2^-54,
     # the least t = (1+z)/2 of a float z > -1); |f| is monotone on every piece,
     # so it is least at one of the piece's ends.
     c = _MIDPOINTS[i]
-    columns = [_taylor_at(table, c) for table in (a, b) if table]
+    columns = [_taylor_at(table, c - x0) for table in (a, b) if table]
     ends = (c - 0.0625, c + 0.0625)
     if b:
         ends = (max(ends[0], 2.0**-54), ends[1])
         rows = [abs(p) - math.log(ends[0]) * abs(q) for p, q in zip(*columns)]
-        least = min(abs(_horner(a, x) + math.log(x) * _horner(b, x)) for x in ends)
+        least = min(abs(_horner(a, x - x0) + math.log(x) * _horner(b, x - x0)) for x in ends)
     else:
         rows = [abs(p) for p in columns[0]]
-        least = min(abs(_horner(a, x)) for x in ends)
+        least = min(abs(_horner(a, x - x0)) for x in ends)
     bounds = [row * 0.0625**j for j, row in enumerate(rows)]
     return tuple(_sized_table(coeffs, bounds, least) for coeffs in columns)
 
 
 def _series_pieces(s: int) -> tuple[tuple[float, ...], ...]:
-    # Li_s(x) = x * _horner(series, x) on |x| <= a = _SERIES_CUT, series = 1/k^s for
-    # k = N..1: term k is at most a^k / k^s there, and the tail's share of |Li_s| is
-    # largest at -a.  Piece i's table gives Li_s(x) = x * _horner(table, x - c_i).
+    # Piece i's table gives Li_s(x) = x * _horner(table, x - c_i).  Pieces 4..11 re-centre
+    # 1/k^s, k = N..1, cut on |x| <= a = _SERIES_CUT: term k is at most a^k / k^s.  Pieces
+    # 0..3 re-centre Li_s(-1 + h) / x = -sum_j (d_0 + ... + d_j) h^j, cut on h <= a: term j
+    # is at most |d_j| a^j.  x Li_s' = Li_{s-1} gives d_{j+1} = (j d_j - d'_j) / (j+1), d' of
+    # Li_{s-1}, up from Li_1(-1 + h) = -ln 2 + sum_j (h/2)^j / j.  Both cut against |Li_s(-a)|,
+    # where the tail's share of |Li_s| is largest.
     a = _SERIES_CUT
     coeffs = [1.0 / k**s for k in range(1, 81)]
     least = abs(sum(coeff * (-a) ** k for k, coeff in enumerate(coeffs, 1)))
     series = _sized_table(coeffs, [coeff * a**k for k, coeff in enumerate(coeffs, 1)], least)
-    return tuple(_recentred(i, series)[0] for i in range(len(_MIDPOINTS)))
+    d = [-math.log(2.0)] + [0.5**j / j for j in range(1, 40)]
+    for r in range(2, s + 1):
+        prev, d = d, [-(1.0 - 2.0 ** (1 - r)) * zeta_const(r)]
+        for j in range(39):
+            d.append((j * d[j] - prev[j]) / (j + 1))
+    bounds = [abs(coeff) * a**j for j, coeff in enumerate(d)]
+    least = abs(sum(coeff * a**j for j, coeff in enumerate(d)))
+    quotient = _sized_table([-total for total in itertools.accumulate(d)], bounds, least)
+    below = tuple(_recentred(i, quotient, x0=-1.0)[0] for i in range(4))
+    return below + tuple(_recentred(i, series)[0] for i in range(4, 12))
 
 
 _SERIES_PIECES = {s: _series_pieces(s) for s in range(2, 6)}
@@ -207,7 +219,7 @@ def _log_expansion(s: int, x: float) -> float:
 def _inversion(s: int, x: float) -> float:
     # x < -1; ln(-x) > 0 and 1/x lands in (-1, 0).
     lgm = math.log(-x)
-    recip = polylog(s, 1.0 / x)
+    recip = _li(s, 1.0 / x)
     if s == 2:
         return -recip - _ZETA2 - 0.5 * lgm * lgm
     if s == 3:
@@ -218,12 +230,23 @@ def _inversion(s: int, x: float) -> float:
     return recip - 7.0 * _ZETA4 / 4.0 * lgm - _ZETA2 / 6.0 * lgm**3 - lgm**5 / 120.0
 
 
+def _li(s: int, x: float) -> float:
+    # Li_s(x) for s in 2..5 and finite x < 1, as checked by polylog; inversion maps
+    # x < -1 into the pieces, so every call enters here at most twice.
+    if -1.0 <= x <= _SERIES_CUT:
+        i = _piece(x)
+        return x * _horner(_SERIES_PIECES[s][i], x - _MIDPOINTS[i])
+    if x > 0.0:
+        return _log_expansion(s, x)
+    return _inversion(s, x)
+
+
 def polylog(s: int, x: float) -> float:
     """Polylogarithm Li_s(x) = sum_{k>=1} x^k / k^s for real x <= 1.
 
-    Within 1e-15 relative for s = 2..5 in every region (at most 8.5e-16
-    against mpmath over ~26k points covering every region, the piece and
-    region edges x = k/8, k = -4..4, and x = +-1 +- 2^-k).
+    Within 1e-15 relative for s = 2..5 in every region (at most 7.9e-16
+    against mpmath over ~16k points covering every region, the piece and
+    region edges x = k/8, k = -8..4, and x = 1 - 2^-k, -1 +- 2^-k).
     Li_1 is returned in closed form, -ln(1-x).  Li_s(-0.0) is -0.0.
 
     Raises DomainError for x > 1, for non-finite x and for the divergent
@@ -239,14 +262,7 @@ def polylog(s: int, x: float) -> float:
         return -math.log1p(-x)
     if x == 1.0:
         return zeta_const(s)
-    if -_SERIES_CUT <= x <= _SERIES_CUT:
-        i = _piece(x)
-        return x * _horner(_SERIES_PIECES[s][i], x - _MIDPOINTS[i])
-    if x > 0.0:
-        return _log_expansion(s, x)
-    if x >= -1.0:
-        return 2.0 ** (1 - s) * polylog(s, x * x) - polylog(s, -x)
-    return _inversion(s, x)
+    return _li(s, x)
 
 
 # --- trigamma -------------------------------------------------------------
@@ -272,10 +288,7 @@ def trigamma(k: int) -> float:
     shifts the argument to >= 20, where the asymptotic expansion is
     accurate to well below 1e-13 relative.
     """
-    # The plain-int test keeps the hot path as cheap as two isinstance calls.
-    if type(k) is not int or not 0 < k <= _TRIGAMMA_MAX:
-        k = as_order(k, 1, _TRIGAMMA_MAX, "trigamma argument")
-    x = float(k)
+    x = float(as_order(k, 1, _TRIGAMMA_MAX, "trigamma argument"))
     total = 0.0
     while x < _TRIGAMMA_SHIFT:
         total += 1.0 / (x * x)

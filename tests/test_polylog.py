@@ -130,26 +130,26 @@ class TestPolylogSeriesConsistency:
                 )
 
     def test_branch_continuity_at_minus_one(self):
-        # the duplication-side branch owns x = -1 exactly; the inversion
-        # branch takes over just below.  Both must agree there.
+        # the lowest piece owns x = -1 exactly; the inversion branch takes
+        # over just below.  Both must agree there.
         for s in (2, 3, 4, 5):
             inside = polylog(s, -1.0)
             outside = polylog(s, math.nextafter(-1.0, -2.0))
             assert outside == pytest.approx(inside, abs=1e-12)
 
     def test_against_mpmath_all_regions(self):
-        # independent high-precision implementation, covering the series,
-        # ln(x)-expansion, duplication and inversion branches; x = +-k/8 and
-        # their neighbours are the ends of the series pieces, where each
-        # re-centred table truncates worst; +-3/4 sit inside the ln(x) and
-        # duplication regions.  The dense sweeps of (1/2, 1) and [-1, -1/2) run
-        # the truncated ln(x) expansion over its whole range, directly and
-        # through duplication.
+        # independent high-precision implementation, covering the pieces, the
+        # ln(x)-expansion and the inversion branch; x = +-k/8 (k = 1..4), -k/8
+        # (k = 5..8) and their neighbours are the ends of the pieces, where each
+        # re-centred table truncates worst; 3/4 sits inside the ln(x) region.
+        # The dense sweeps of (1/2, 1) and [-1, -1/2) run the truncated ln(x)
+        # expansion and the four pieces about x = -1 over their whole range.
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
         points = [-1048576.0, -123.4, -2.0, -1.0, -0.99973, -0.9, -0.5, 0.3, 0.74,
                   0.76, 0.9, 0.995, 0.99994, 1.0 - 2.0**-20]
-        for cut in (0.75, -0.75) + tuple(sign * k / 8.0 for k in range(1, 5) for sign in (1, -1)):
+        cuts = tuple(sign * k / 8.0 for k in range(1, 5) for sign in (1, -1))
+        for cut in (0.75,) + cuts + tuple(-k / 8.0 for k in range(5, 9)):
             points += [cut, math.nextafter(cut, 0.0), math.nextafter(cut, 2.0 * cut)]
         points += [float(x) for x in np.linspace(0.5, 1.0, 66)[1:-1]]
         points += [float(x) for x in np.linspace(-1.0, -0.5, 65)[:-1]]
@@ -174,18 +174,47 @@ class TestPolylogSeriesConsistency:
 
     def test_docstring_table_lengths(self):
         # The term counts the module docstring states are the lengths of the
-        # tables fixed at import: the re-centred power series per piece, from
-        # x = -1/2 up, and the ln(x) expansion.
+        # tables fixed at import: the re-centred series on each of the twelve
+        # pieces, from x = -1 up, and the ln(x) expansion.
         kernel = importlib.import_module("legderiv.polylog")
         doc = " ".join(kernel.__doc__.split())
         log = re.search(r"(\d+)/(\d+)/(\d+)/(\d+) terms of the expansion in u = ln\(x\)", doc)
         for i, s in enumerate(range(2, 6)):
-            pieces = re.search(rf"s = {s}: (\d+(?:/\d+){{7}})", doc).group(1)
+            pieces = re.search(rf"s = {s}: (\d+(?:/\d+){{11}})", doc).group(1)
             lengths = [len(table) for table in kernel._SERIES_PIECES[s]]
             assert lengths == [int(n) for n in pieces.split("/")], s
             assert max(lengths) <= 16, s
             assert len(kernel._LOG_COEFFS[s]) == int(log.group(i + 1)), s
             assert len(kernel._LOG_COEFFS[s]) <= 17, s
+
+    def test_one_hop_and_one_order_check(self, monkeypatch):
+        # Only the public polylog runs as_order, and inversion maps x < -1 onto
+        # a piece, so a call enters the private kernel entry once, or twice
+        # below -1; Li_1 and Li_s(1) never enter it.
+        kernel = importlib.import_module("legderiv.polylog")
+        entries, checks = [], []
+        li, as_order = kernel._li, kernel.as_order
+
+        def counted_li(s, x):
+            entries.append(x)
+            return li(s, x)
+
+        def counted_as_order(*args):
+            checks.append(args)
+            return as_order(*args)
+
+        monkeypatch.setattr(kernel, "_li", counted_li)
+        monkeypatch.setattr(kernel, "as_order", counted_as_order)
+        xs = [k / 16.0 for k in range(-16, 9)] + [-0.999, -0.55, 0.6, 0.75, 0.99, 1.0 - 2.0**-40]
+        xs += [math.nextafter(-1.0, -2.0), -1.5, -3.7, -123.4, -1e6]
+        for s in (1, 2, 3, 4, 5):
+            for x in xs if s == 1 else xs + [1.0]:  # Li_1(1) diverges
+                entries.clear()
+                checks.clear()
+                polylog(s, x)
+                expected = 0 if s == 1 or x == 1.0 else 2 if x < -1.0 else 1
+                assert len(entries) == expected <= 2, (s, x, entries)
+                assert len(checks) == 1, (s, x)
 
     def test_derivative_ladder(self):
         # x d/dx Li_s(x) = Li_{s-1}(x)

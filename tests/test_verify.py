@@ -9,12 +9,14 @@ import pytest
 from legderiv import (
     CheckResult,
     DomainError,
+    EndpointFlag,
     check_appendix_a,
     check_appendix_b,
     check_closed_forms,
     check_identities,
     check_quadrature_recurrence,
     frak_I,
+    integrate,
     p_deriv,
     run_suite,
     trigamma_sum,
@@ -213,6 +215,23 @@ class TestIndividualChecks:
         li2_row = rows["first-integral-3-li2"]
         assert "24*zeta(3)" in li2_row.note
         assert li2_row.max_abs_dev == pytest.approx(28.8493656758, abs=1e-4)
+
+    def test_cancellation_gaps_match_integrals_from_minus_one(self, monkeypatch):
+        # the check integrates each gap of its grid once and carries a running
+        # total; measured against each point's own integral from -1 instead of
+        # I(z), the running totals must agree with them at all ten points
+        def integrand(z):
+            return p_deriv(3, z) + 3.0 * p_deriv(2, z)
+
+        def alone(z):
+            flags = EndpointFlag(lower_singular=True)
+            return integrate(integrand, -1.0, z, tol=1e-11, flags=flags).value
+
+        row = {r.id: r for r in check_appendix_a()}["inner-integral-cancellation"]
+        assert row.sample_count == 10 and row.max_abs_dev <= 1e-12
+        monkeypatch.setattr(verify, "inner_integral_I", alone)
+        row = {r.id: r for r in check_appendix_a()}["inner-integral-cancellation"]
+        assert row.sample_count == 10 and row.max_abs_dev <= 1e-12
 
     def test_appendix_a_li2_squared_form_measured_good(self):
         # the display checks out numerically even though it is report-only
