@@ -18,13 +18,14 @@ Evaluation regions for Li_s(x), x <= 1:
 
 Every series, and trigamma's asymptotic tail, is one Horner pass over a
 table fixed at import; nothing tests for convergence at run time.  One rule
-sizes every series and orderderiv's nu-tables: keep the rows up to the last
-whose bound on the table's range reaches 2^-57 of |f| where the tail's share
-of it is largest (``_sized_table``).  Each series is sized so on its half of
-[-1, 1/2], then re-expanded about each piece's midpoint and sized again on
-the piece, against the least |f| there (``_recentred``).  ``_piece(x)`` says
-which piece's table runs, for polylog and orderderiv alike.  Inversion, the
-only branch that recurses, lands on a piece: every call takes at most one hop.
+sizes every table: keep the rows up to the last whose bound on the table's
+range reaches 2^-57 of |f| where the tail's share of it is largest
+(``_sized_table``).  A piece table, orderderiv's nu-tables too, is sized once:
+its uncut source is re-expanded about the piece's midpoint and cut on the
+piece, against the least |f| there (``_recentred``).  The ln(x) expansion is
+cut on (1/2, 1).  ``_piece(x)`` says which piece's table runs, for polylog and
+orderderiv alike.  Inversion, the only branch that recurses, lands on a piece:
+every call takes at most one hop.
 """
 
 from __future__ import annotations
@@ -38,17 +39,18 @@ from .exceptions import DomainError
 
 __all__ = ["polylog", "zeta_const", "trigamma"]
 
-# Every series table, orderderiv's too, is cut _SERIES_CUT from where it is expanded
-# and re-expanded about each 1/8-wide piece's midpoint; _piece(x) says which runs.
+# The pieces cover [-1, _SERIES_CUT] and the ln(x) expansion runs above it.  Every
+# piece table, orderderiv's too, is re-expanded about the 1/8-wide piece's midpoint;
+# _piece(x) says which runs.
 _SERIES_CUT = 0.5
 _MIDPOINTS = tuple((2 * i - 15) / 16.0 for i in range(12))
 _RECENTRED_ROWS = 24  # (1/16)^24 = 2^-96: no re-centred table needs more rows
 
-# zeta(3), zeta(5) to 30 significant digits; zeta(2), zeta(4) are exact
-# pi-powers and are formed from math.pi at import time.
+# zeta(3), zeta(4), zeta(5) as literals; zeta(2) = pi^2/6 from math.pi, which
+# rounds correctly where math.pi**4 / 90.0 falls one ulp short of zeta(4).
 _ZETA2 = math.pi**2 / 6.0
 _ZETA3 = 1.20205690315959428539973816151
-_ZETA4 = math.pi**4 / 90.0
+_ZETA4 = 1.0823232337111381
 _ZETA5 = 1.03692775514336992633136548646
 
 # Bernoulli numbers B_2, B_4, ..., B_24.  The ln(x) expansion takes
@@ -70,7 +72,7 @@ _BERNOULLI = (
 
 
 def zeta_const(s: int) -> float:
-    """Riemann zeta(s) for integer s in 2..5, full double precision."""
+    """Riemann zeta(s) for integer s in 2..5, correctly rounded to double."""
     if s == 2:
         return _ZETA2
     if s == 3:
@@ -137,11 +139,11 @@ def _taylor_at(table: tuple[float, ...], c: float) -> list[float]:
 def _recentred(
     i: int, a: tuple[float, ...], b: tuple[float, ...] = (), x0: float = 0.0
 ) -> tuple[tuple[float, ...], ...]:
-    # f(x) = a(x) + ln(x) b(x), a and b listed highest power first in x - x0,
-    # as tables in h = x - c about piece i's midpoint c, cut alike.  Row j is at most
-    # (|a_j| + L |b_j|) (1/16)^j on the piece, L the largest |ln x| there (x >= 2^-54,
-    # the least t = (1+z)/2 of a float z > -1); |f| is monotone on every piece,
-    # so it is least at one of the piece's ends.
+    # f(x) = a(x) + ln(x) b(x), a and b listed highest power first in x - x0, as
+    # tables in h = x - c about piece i's midpoint c, cut alike: the one place a piece
+    # table's length is decided.  Row j is at most (|a_j| + L |b_j|) (1/16)^j on the
+    # piece, L the largest |ln x| there (x >= 2^-54, the least t = (1+z)/2 of a float
+    # z > -1); |f| is monotone on every piece, so it is least at one of its ends.
     c = _MIDPOINTS[i]
     columns = [_taylor_at(table, c - x0) for table in (a, b) if table]
     ends = (c - 0.0625, c + 0.0625)
@@ -157,24 +159,17 @@ def _recentred(
 
 
 def _series_pieces(s: int) -> tuple[tuple[float, ...], ...]:
-    # Piece i's table gives Li_s(x) = x * _horner(table, x - c_i).  Pieces 4..11 re-centre
-    # 1/k^s, k = N..1, cut on |x| <= a = _SERIES_CUT: term k is at most a^k / k^s.  Pieces
-    # 0..3 re-centre Li_s(-1 + h) / x = -sum_j (d_0 + ... + d_j) h^j, cut on h <= a: term j
-    # is at most |d_j| a^j.  x Li_s' = Li_{s-1} gives d_{j+1} = (j d_j - d'_j) / (j+1), d' of
-    # Li_{s-1}, up from Li_1(-1 + h) = -ln 2 + sum_j (h/2)^j / j.  Both cut against |Li_s(-a)|,
-    # where the tail's share of |Li_s| is largest.
-    a = _SERIES_CUT
-    coeffs = [1.0 / k**s for k in range(1, 81)]
-    least = abs(sum(coeff * (-a) ** k for k, coeff in enumerate(coeffs, 1)))
-    series = _sized_table(coeffs, [coeff * a**k for k, coeff in enumerate(coeffs, 1)], least)
+    # Piece i's table gives Li_s(x) = x * _horner(table, x - c_i), re-centred by _recentred
+    # from an uncut source.  Pieces 4..11: 1/k^s, k = 80..1.  Pieces 0..3: Li_s(-1 + h) / x
+    # = -sum_j (d_0 + ... + d_j) h^j, j < 40, where x Li_s' = Li_{s-1} gives d_{j+1} =
+    # (j d_j - d'_j) / (j+1), d' of Li_{s-1}, up from Li_1(-1 + h) = -ln 2 + sum_j (h/2)^j / j.
     d = [-math.log(2.0)] + [0.5**j / j for j in range(1, 40)]
     for r in range(2, s + 1):
         prev, d = d, [-(1.0 - 2.0 ** (1 - r)) * zeta_const(r)]
         for j in range(39):
             d.append((j * d[j] - prev[j]) / (j + 1))
-    bounds = [abs(coeff) * a**j for j, coeff in enumerate(d)]
-    least = abs(sum(coeff * a**j for j, coeff in enumerate(d)))
-    quotient = _sized_table([-total for total in itertools.accumulate(d)], bounds, least)
+    quotient = tuple(-total for total in itertools.accumulate(d))[::-1]
+    series = tuple(1.0 / k**s for k in range(80, 0, -1))
     below = tuple(_recentred(i, quotient, x0=-1.0)[0] for i in range(4))
     return below + tuple(_recentred(i, series)[0] for i in range(4, 12))
 
@@ -244,9 +239,10 @@ def _li(s: int, x: float) -> float:
 def polylog(s: int, x: float) -> float:
     """Polylogarithm Li_s(x) = sum_{k>=1} x^k / k^s for real x <= 1.
 
-    Within 1e-15 relative for s = 2..5 in every region (at most 7.9e-16
-    against mpmath over ~16k points covering every region, the piece and
-    region edges x = k/8, k = -8..4, and x = 1 - 2^-k, -1 +- 2^-k).
+    Within 1e-15 relative for s = 2..5 in every region (at most 6.9e-16
+    against mpmath over ~17k points: 1000 random x per region and order,
+    inversion down to -1e12, the piece and region edges x = k/8, k = -8..4,
+    with their neighbours, and x = 1 - 2^-k, -1 +- 2^-k).
     Li_1 is returned in closed form, -ln(1-x).  Li_s(-0.0) is -0.0.
 
     Raises DomainError for x > 1, for non-finite x and for the divergent
@@ -285,8 +281,9 @@ def trigamma(k: int) -> float:
 
     Accepts any integer-like type but bool, up to the largest k that
     converts to a finite float.  Recurrence Psi'(k) = Psi'(k+1) + 1/k^2
-    shifts the argument to >= 20, where the asymptotic expansion is
-    accurate to well below 1e-13 relative.
+    shifts the argument to >= 20, where the asymptotic expansion runs.
+    Within 1e-15 relative (at most 2.2e-16 against mpmath over k = 1..199,
+    300 random k <= 10^6, k = 10^6..10^300 and k = 2^1023).
     """
     x = float(as_order(k, 1, _TRIGAMMA_MAX, "trigamma argument"))
     total = 0.0

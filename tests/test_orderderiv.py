@@ -6,7 +6,9 @@ hypergeometric series for the Pn values, and high-precision quadrature of
 the defining integrands for the antiderivatives.
 """
 
+import importlib
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -117,6 +119,17 @@ class TestPDeriv:
         zs += [sign * (1.0 - 10.0**-k) for k in range(1, 16) for sign in (1.0, -1.0)]
         for z in zs:
             assert [v.hex() for v in p_derivs(z)] == [p_deriv(n, z).hex() for n in range(5)], z
+
+    def test_docstring_table_lengths(self):
+        # The rows per piece the module docstring states are the lengths of the
+        # U, A and B tables fixed at import, on the pieces of [0, 1/2] from 0 up.
+        module = importlib.import_module("legderiv.orderderiv")
+        doc = " ".join(module.__doc__.split())
+        for j, column in enumerate((r"U \(Pn/u\^2\)", "A and B", "A and B")):
+            rows = re.search(rf"{column} n = 3: ([\d/]+) n = 4: ([\d/]+)", doc)
+            for n in (3, 4):
+                lengths = [len(module._NU_TABLES[n][i][j]) for i in range(8, 12)]
+                assert lengths == [int(k) for k in rows.group(n - 2).split("/")], (n, j)
 
     def test_p_derivs_domain(self):
         for z in (-1.0, 1.5, float("nan"), float("-inf")):
@@ -269,6 +282,21 @@ class TestFirstIntegrals:
         assert first_integral(1, 1.0) == -2.0
         # the (1+z) prefactor beats the log divergence
         assert abs(first_integral(1, -1.0 + 1e-12)) <= 1e-9
+
+    @pytest.mark.parametrize("eta", [1, 2])
+    def test_relative_accuracy_against_mpmath(self, eta):
+        # the docstring's 2e-15 bound, at both ends of the domain and between
+        zs = [-1.0 + 1e-12, -1.0 + 1e-6, math.nextafter(-1.0, 0.0), 0.0, 1.0 - 1e-12, 1.0]
+        zs += [float(z) for z in np.random.default_rng(23).uniform(-1.0, 1.0, size=60)]
+        with mp.workdps(40):
+            for z in zs:
+                x = mp.mpf(z)
+                t = (1 + x) / 2
+                reference = (1 + x) * (mp.log(t) - 1)
+                if eta == 2:
+                    reference = -2 * reference + 2 * (1 - x) * mp.polylog(2, (1 - x) / 2)
+                rel = float(abs((first_integral(eta, z) - reference) / reference))
+                assert rel <= 2e-15, (z, rel)
 
     def test_eta2_endpoint_value(self):
         assert first_integral(2, 1.0) == pytest.approx(4.0, abs=1e-14)

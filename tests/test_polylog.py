@@ -2,8 +2,8 @@
 
 Ground truth is the defining series, summed brute-force (with explicit
 remainder bounds) far past the accuracy target, plus a handful of exact
-special values.  scipy supplies an extra independent route where it has
-one (spence, polygamma).
+special values.  scipy's spence and mpmath supply independent routes where
+they have one.
 """
 
 import importlib
@@ -13,7 +13,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import polygamma, spence
+from scipy.special import spence
 
 from legderiv import DomainError, polylog, trigamma, zeta_const
 
@@ -48,9 +48,12 @@ def zeta_series(s: int, terms: int = 10**5) -> float:
 
 
 class TestZetaConst:
-    def test_exact_pi_powers(self):
-        assert zeta_const(2) == PI**2 / 6.0
-        assert zeta_const(4) == PI**4 / 90.0
+    def test_correctly_rounded(self):
+        # math.pi**4 / 90.0 is one ulp below zeta(4); every value is the nearest double
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for s in (2, 3, 4, 5):
+                assert zeta_const(s) == float(mp.zeta(s)), s
 
     @pytest.mark.parametrize("s", [2, 3, 4, 5])
     def test_against_brute_force(self, s):
@@ -276,9 +279,16 @@ class TestTrigamma:
         tail = 1.0 / a + 0.5 / a**2 + 1.0 / (6.0 * a**3)
         assert trigamma(50) == pytest.approx(partial + tail, rel=1e-13)
 
-    def test_scipy_cross_check(self):
-        for k in (1, 2, 3, 7, 19, 20, 21, 500, 10**6):
-            assert trigamma(k) == pytest.approx(float(polygamma(1, k)), rel=1e-13)
+    def test_against_mpmath(self):
+        # the docstring's 1e-15 bound on both sides of the shift to 20, and for
+        # huge k, where the asymptotic tail is 1/k alone
+        mp = pytest.importorskip("mpmath")
+        ks = list(range(1, 60)) + [199, 500, 12345, 10**6, 10**30, 10**100, 10**300, 2**1023]
+        with mp.workdps(40):
+            for k in ks:
+                reference = mp.psi(1, mp.mpf(k))
+                rel = float(abs((trigamma(k) - reference) / reference))
+                assert rel <= 1e-15, (k, rel)
 
     def test_recurrence_exactness_sweep(self):
         for k in range(1, 10**4 + 1):
