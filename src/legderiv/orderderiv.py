@@ -78,7 +78,7 @@ def _nu_tables() -> dict[int, dict[int, tuple[tuple[float, ...], ...]]]:
     tables = {}
     for n in (3, 4):
         # Highest power first.  Pn / u^2 on z >= 0: c_0 = 1 only feeds P0, c_1 = 0 for
-        # n >= 2, and without the u^2 the first piece would cancel as u -> 0.
+        # n >= 3, and without the u^2 the first piece would cancel as u -> 0.
         un, an, bn = (
             tuple(math.factorial(n) * row[n] for row in rows[::-1]) for rows in (c[2:], a, b)
         )

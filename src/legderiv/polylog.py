@@ -12,19 +12,24 @@ Evaluation regions for Li_s(x), x <= 1:
                       s = 3: 10/10/11/11/11/11/11/12/12/13/13/14
                       s = 4: 10/10/10/10/10/11/11/11/11/12/12/13
                       s = 5: 9/9/9/10/10/10/10/10/11/11/11/12
-* ``1/2 < x < 1``     16/17/16/15 terms of the expansion in u = ln(x) with zeta coefficients
+* ``1/2 < x < 1``     a(v) + ln(v) b(v) in v = -ln(x) in (0, ln 2), with zeta
+                      coefficients, re-expanded about the midpoint of each 1/8-wide
+                      piece of 0 <= v < 3/4; a and b rows per piece, from x = 1 down:
+                      s = 2: a 8/8/9/9/9/9, b 2
+                      s = 3: a 9/9/9/9/9/9, b 3
+                      s = 4: a 8/8/9/9/9/9, b 4
+                      s = 5: a 9/9/9/9/9/9, b 5
 * ``x = 1``           zeta(s) (s >= 2; Li_1(1) diverges)
 * ``x < -1``          real inversion identities in terms of Li_s(1/x), 1/x on a piece
 
 Every series, and trigamma's asymptotic tail, is one Horner pass over a
-table fixed at import; nothing tests for convergence at run time.  One rule
-sizes every table: keep the rows up to the last whose bound on the table's
-range reaches 2^-57 of |f| where the tail's share of it is largest
-(``_sized_table``).  A piece table, orderderiv's nu-tables too, is sized once:
-its uncut source is re-expanded about the piece's midpoint and cut on the
-piece, against the least |f| there (``_recentred``).  The ln(x) expansion is
-cut on (1/2, 1).  ``_piece(x)`` says which piece's table runs, for polylog and
-orderderiv alike.  Inversion, the only branch that recurses, lands on a piece:
+table fixed at import; nothing tests for convergence at run time.  Every
+series table, orderderiv's nu-tables too, is sized in one step
+(``_recentred``): its uncut source is re-expanded about the midpoint of its
+1/8-wide piece, and the rows are kept up to the last whose bound on the piece
+reaches 2^-57 of the least |f| there.  ``_piece(x)`` says which piece's table
+runs on [-1, 1/2], for polylog and orderderiv alike; above 1/2 it is
+floor(8v) + 8.  Inversion, the only branch that recurses, lands on a piece:
 every call takes at most one hop.
 """
 
@@ -39,11 +44,11 @@ from .exceptions import DomainError
 
 __all__ = ["polylog", "zeta_const", "trigamma"]
 
-# The pieces cover [-1, _SERIES_CUT] and the ln(x) expansion runs above it.  Every
-# piece table, orderderiv's too, is re-expanded about the 1/8-wide piece's midpoint;
-# _piece(x) says which runs.
+# Pieces 0..11 cover [-1, _SERIES_CUT] in x; above it pieces 8..13 cover v = -ln x in
+# [0, 3/4).  Every piece table, orderderiv's too, is re-expanded about the 1/8-wide
+# piece's midpoint; _piece(x) says which runs on [-1, _SERIES_CUT].
 _SERIES_CUT = 0.5
-_MIDPOINTS = tuple((2 * i - 15) / 16.0 for i in range(12))
+_MIDPOINTS = tuple((2 * i - 15) / 16.0 for i in range(14))
 _RECENTRED_ROWS = 24  # (1/16)^24 = 2^-96: no re-centred table needs more rows
 
 # zeta(3), zeta(4), zeta(5) as literals; zeta(2) = pi^2/6 from math.pi, which
@@ -110,13 +115,6 @@ def _horner(coeffs: tuple[float, ...], u: float) -> float:
     return total
 
 
-def _sized_table(coeffs: list[float], bounds: list[float], least: float) -> tuple[float, ...]:
-    # ``coeffs`` (lowest power first) up to the last row whose bound on the table's
-    # range reaches 2^-57 of ``least``, |f| where the tail's share of it is largest.
-    n = 1 + max(k for k, bound in enumerate(bounds) if bound >= 2.0**-57 * least)
-    return tuple(reversed(coeffs[:n]))
-
-
 def _piece(x: float) -> int:
     # The 1/8-wide piece of [-1, 1/2] that holds x, numbered 0..11 from -1 up;
     # 8x and its floor are exact, and x = 1/2 joins the top piece.
@@ -140,22 +138,25 @@ def _recentred(
     i: int, a: tuple[float, ...], b: tuple[float, ...] = (), x0: float = 0.0
 ) -> tuple[tuple[float, ...], ...]:
     # f(x) = a(x) + ln(x) b(x), a and b listed highest power first in x - x0, as
-    # tables in h = x - c about piece i's midpoint c, cut alike: the one place a piece
+    # tables in h = x - c about piece i's midpoint c, cut alike: the one place a series
     # table's length is decided.  Row j is at most (|a_j| + L |b_j|) (1/16)^j on the
-    # piece, L the largest |ln x| there (x >= 2^-54, the least t = (1+z)/2 of a float
-    # z > -1); |f| is monotone on every piece, so it is least at one of its ends.
+    # piece, L the largest |ln x| there; x >= 2^-54, the least t = (1+z)/2 of a float
+    # z > -1, and the least v = -ln x of a float x < 1 is ~2^-53.  |f| is monotone on
+    # every piece, Li_s(e^-v) in v too, so it is least at one of its ends.  The rows
+    # run to the longer column's end, and each column is cut to at most its own.
     c = _MIDPOINTS[i]
     columns = [_taylor_at(table, c - x0) for table in (a, b) if table]
     ends = (c - 0.0625, c + 0.0625)
     if b:
         ends = (max(ends[0], 2.0**-54), ends[1])
-        rows = [abs(p) - math.log(ends[0]) * abs(q) for p, q in zip(*columns)]
+        pairs = itertools.zip_longest(*columns, fillvalue=0.0)
+        rows = [abs(p) - math.log(ends[0]) * abs(q) for p, q in pairs]
         least = min(abs(_horner(a, x - x0) + math.log(x) * _horner(b, x - x0)) for x in ends)
     else:
         rows = [abs(p) for p in columns[0]]
         least = min(abs(_horner(a, x - x0)) for x in ends)
-    bounds = [row * 0.0625**j for j, row in enumerate(rows)]
-    return tuple(_sized_table(coeffs, bounds, least) for coeffs in columns)
+    n = 1 + max(j for j, row in enumerate(rows) if row * 0.0625**j >= 2.0**-57 * least)
+    return tuple(tuple(reversed(coeffs[:n])) for coeffs in columns)
 
 
 def _series_pieces(s: int) -> tuple[tuple[float, ...], ...]:
@@ -188,27 +189,28 @@ def _zeta_at(m: int) -> float:
     return -_BERNOULLI[-m // 2] / (1 - m)
 
 
-def _log_coeffs(s: int) -> tuple[float, ...]:
-    # zeta(s-j)/j! for j < 24, as far as _BERNOULLI reaches; the pole j = s-1
-    # contributes H_{s-1}/(s-1)! here and its ln(-u) part in _log_expansion.  Row
-    # j is at most |coeff ln(x)^j| on x > _SERIES_CUT, where Li_s is least at the cut.
-    coeffs = []
-    for j in range(2 * len(_BERNOULLI)):
-        zeta = sum(1.0 / i for i in range(1, s)) if j == s - 1 else _zeta_at(s - j)
-        coeffs.append(zeta / math.factorial(j))
-    least = _SERIES_CUT * _horner(_SERIES_PIECES[s][-1], _SERIES_CUT - _MIDPOINTS[-1])
-    bounds = [abs(c * math.log(_SERIES_CUT) ** j) for j, c in enumerate(coeffs)]
-    return _sized_table(coeffs, bounds, least)
+def _log_pieces(s: int) -> dict[int, tuple[tuple[float, ...], ...]]:
+    # Li_s(e^-v) = a(v) + ln(v) b(v) for 0 < v < ln 2, re-centred by _recentred on the
+    # pieces 8..13 of [0, 3/4): a_j = (-1)^j zeta(s-j)/j! for j < 24, as far as
+    # _BERNOULLI reaches, but H_{s-1}/(s-1)! at the pole j = s-1, whose ln(v) part is
+    # b(v) = -(-v)^(s-1)/(s-1)!.
+    harmonic = sum(1.0 / k for k in range(1, s))
+    zeta = [harmonic if j == s - 1 else _zeta_at(s - j) for j in range(2 * len(_BERNOULLI))]
+    a = tuple((-1) ** j * z / math.factorial(j) for j, z in enumerate(zeta))[::-1]
+    b = ((-1) ** s / math.factorial(s - 1),) + (0.0,) * (s - 1)
+    return {i: _recentred(i, a, b) for i in range(8, 14)}
 
 
-_LOG_COEFFS = {s: _log_coeffs(s) for s in range(2, 6)}
+_LOG_PIECES = {s: _log_pieces(s) for s in range(2, 6)}
 
 
 def _log_expansion(s: int, x: float) -> float:
-    # Li_s(x) = sum_{j>=0, j != s-1} zeta(s-j) u^j/j!
-    #           + [H_{s-1} - ln(-u)] u^(s-1)/(s-1)!,   u = ln x in (-ln 2, 0)
-    u = math.log(x)
-    return _horner(_LOG_COEFFS[s], u) - math.log(-u) * u ** (s - 1) / math.factorial(s - 1)
+    # 1/2 < x < 1, so v = -ln x lies in the piece floor(8v) + 8 of [0, 3/4).
+    v = -math.log(x)
+    i = math.floor(8.0 * v) + 8
+    a, b = _LOG_PIECES[s][i]
+    h = v - _MIDPOINTS[i]
+    return _horner(a, h) + math.log(v) * _horner(b, h)
 
 
 def _inversion(s: int, x: float) -> float:
@@ -239,10 +241,11 @@ def _li(s: int, x: float) -> float:
 def polylog(s: int, x: float) -> float:
     """Polylogarithm Li_s(x) = sum_{k>=1} x^k / k^s for real x <= 1.
 
-    Within 1e-15 relative for s = 2..5 in every region (at most 6.9e-16
-    against mpmath over ~17k points: 1000 random x per region and order,
-    inversion down to -1e12, the piece and region edges x = k/8, k = -8..4,
-    with their neighbours, and x = 1 - 2^-k, -1 +- 2^-k).
+    Within 1e-15 relative for s = 2..5 in every region (at most 4.8e-16
+    against mpmath over ~100k points: 5000 random x per region and order,
+    inversion on (-4, -1) and down to -1e12, the piece and region edges
+    x = k/8, k = -8..4, and x = e^(-k/8), k = 1..5, with their neighbours,
+    and x = 1 - 2^-k, -1 +- 2^-k).
     Li_1 is returned in closed form, -ln(1-x).  Li_s(-0.0) is -0.0.
 
     Raises DomainError for x > 1, for non-finite x and for the divergent

@@ -139,8 +139,9 @@ def integrate(
         raise DomainError(
             f"integration bounds must satisfy a < b with finite b - a, got {a!r}, {b!r}"
         )
-    if not tol >= _MIN_TOL:  # also rejects NaN, which would end refinement at once
-        raise DomainError(f"tolerance must be at least {_MIN_TOL:g}, got {tol!r}")
+    # NaN would end refinement at once, and True would run at tol 1.
+    if isinstance(tol, bool) or not tol >= _MIN_TOL:
+        raise DomainError(f"tolerance must be a number >= {_MIN_TOL:g}, got {tol!r}")
     max_panels = as_order(max_panels, 1, math.inf, "max_panels")
 
     heap: list[tuple[float, int, float, float, float, Callable[[float], float]]] = []

@@ -33,6 +33,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .exceptions import DomainError
 from .oracle import _five_point, ode_residual, order_derivatives
 from .orderderiv import (
+    _PI4,
     _closed_form,
     first_integral,
     frak_I,
@@ -57,8 +58,6 @@ __all__ = [
     "check_appendix_b",
     "run_suite",
 ]
-
-_PI4 = math.pi**4
 
 DEFAULT_SEED = 20140412
 DEFAULT_SUM_TERMS = 10_000
@@ -155,14 +154,16 @@ class CheckReport:
 def resolve_tolerances(tol_overrides: Mapping[str, float] | None) -> dict[str, float]:
     """Every tolerance key, with the ``"fd"`` and ``"identities"`` group
     overrides applied.  Raises DomainError for any other override key and
-    for a value that is not positive and finite (the report is JSON)."""
+    for a value that is not a positive finite real number, such as a bool
+    (the report is JSON)."""
     tols = dict(_DEFAULT_TOLS)
     for group, value in (tol_overrides or {}).items():
         if group not in _TOL_GROUPS:
             raise DomainError(
                 f"unknown tolerance group {group!r}; expected one of {sorted(_TOL_GROUPS)}"
             )
-        number = float(value) if isinstance(value, numbers.Real) else math.nan
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        number = float(value) if real else math.nan
         if not 0.0 < number < math.inf:
             raise DomainError(f"tolerance {group!r} must be positive and finite, got {value!r}")
         for key in _TOL_GROUPS[group]:
@@ -245,7 +246,7 @@ def check_closed_forms(tol_overrides: Mapping[str, float] | None = None) -> list
         composed = _PI4 / 15.0 + 24.0 * (
             polylog(2, tt) ** 2
             + 2.0 * math.log(uu) * (polylog(3, tt) - zeta_const(3))
-            + math.pi**2 / 6.0 * polylog(2, uu)
+            + zeta_const(2) * polylog(2, uu)
             + frak_I(tt)
         )
         devs.append(abs(composed - _closed_form(4, z)))
@@ -456,7 +457,7 @@ def check_appendix_a(
     # constant, measured against the oracle the same way the closed form is.
     offsets = []
     for z in (-0.5, 0.3, 0.8):
-        stripped = _closed_form(4, z) - 24.0 * math.pi**4 / 36.0
+        stripped = _closed_form(4, z) - 24.0 * _PI4 / 36.0
         offsets.append(stripped - order_derivatives(z)[4])
     spread = max(offsets) - min(offsets)
     results.append(

@@ -143,10 +143,12 @@ class TestPolylogSeriesConsistency:
     def test_against_mpmath_all_regions(self):
         # independent high-precision implementation, covering the pieces, the
         # ln(x)-expansion and the inversion branch; x = +-k/8 (k = 1..4), -k/8
-        # (k = 5..8) and their neighbours are the ends of the pieces, where each
-        # re-centred table truncates worst; 3/4 sits inside the ln(x) region.
-        # The dense sweeps of (1/2, 1) and [-1, -1/2) run the truncated ln(x)
-        # expansion and the four pieces about x = -1 over their whole range.
+        # (k = 5..8), e^(-k/8) (k = 1..5, the piece ends in v = -ln x) and their
+        # neighbours are the ends of the pieces, where each re-centred table
+        # truncates worst; 3/4 sits inside the ln(x) region, and the float above
+        # 1/2 in its top piece.  The dense sweeps of (1/2, 1) and [-1, -1/2) run
+        # the pieces of the ln(x) expansion and the four pieces about x = -1 over
+        # their whole range.
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
         points = [-1048576.0, -123.4, -2.0, -1.0, -0.99973, -0.9, -0.5, 0.3, 0.74,
@@ -154,6 +156,10 @@ class TestPolylogSeriesConsistency:
         cuts = tuple(sign * k / 8.0 for k in range(1, 5) for sign in (1, -1))
         for cut in (0.75,) + cuts + tuple(-k / 8.0 for k in range(5, 9)):
             points += [cut, math.nextafter(cut, 0.0), math.nextafter(cut, 2.0 * cut)]
+        for k in range(1, 6):
+            cut = math.exp(-k / 8.0)
+            points += [cut, math.nextafter(cut, 0.0), math.nextafter(cut, 1.0)]
+        points.append(math.nextafter(0.5, 1.0))
         points += [float(x) for x in np.linspace(0.5, 1.0, 66)[1:-1]]
         points += [float(x) for x in np.linspace(-1.0, -0.5, 65)[:-1]]
         for s in (2, 3, 4, 5):
@@ -178,17 +184,20 @@ class TestPolylogSeriesConsistency:
     def test_docstring_table_lengths(self):
         # The term counts the module docstring states are the lengths of the
         # tables fixed at import: the re-centred series on each of the twelve
-        # pieces, from x = -1 up, and the ln(x) expansion.
+        # pieces, from x = -1 up, and the a and b rows of the ln(x) expansion on
+        # each of its six pieces, from x = 1 down.
         kernel = importlib.import_module("legderiv.polylog")
         doc = " ".join(kernel.__doc__.split())
-        log = re.search(r"(\d+)/(\d+)/(\d+)/(\d+) terms of the expansion in u = ln\(x\)", doc)
-        for i, s in enumerate(range(2, 6)):
+        for s in range(2, 6):
             pieces = re.search(rf"s = {s}: (\d+(?:/\d+){{11}})", doc).group(1)
             lengths = [len(table) for table in kernel._SERIES_PIECES[s]]
             assert lengths == [int(n) for n in pieces.split("/")], s
             assert max(lengths) <= 16, s
-            assert len(kernel._LOG_COEFFS[s]) == int(log.group(i + 1)), s
-            assert len(kernel._LOG_COEFFS[s]) <= 17, s
+            log = re.search(rf"s = {s}: a (\d+(?:/\d+){{5}}), b (\d+)", doc)
+            a_rows, b_rows = zip(*(map(len, kernel._LOG_PIECES[s][i]) for i in range(8, 14)))
+            assert list(a_rows) == [int(n) for n in log.group(1).split("/")], s
+            assert set(b_rows) == {int(log.group(2))}, s
+            assert max(a_rows + b_rows) <= 9, s
 
     def test_one_hop_and_one_order_check(self, monkeypatch):
         # Only the public polylog runs as_order, and inversion maps x < -1 onto

@@ -96,6 +96,9 @@ class TestContracts:
         f = lambda x: math.exp(-x) * math.sin(50.0 * x)
         with pytest.raises(DomainError):
             integrate(f, 0.0, 10.0, tol=math.nan)
+        # nor is a bool, which would pass the floor as 1
+        with pytest.raises(DomainError):
+            integrate(f, 0.0, 10.0, tol=True)
 
     def test_panel_cap(self):
         # needle far too sharp for eight panels

@@ -121,7 +121,7 @@ class TestSuite:
             with pytest.raises(DomainError):
                 run_suite(tol_overrides={key: 1e-3})
         # so is any value that is not a positive finite number
-        for value in (None, "abc", [1e-3], float("nan"), math.inf, 0.0, -1e-3):
+        for value in (None, "abc", [1e-3], float("nan"), math.inf, 0.0, -1e-3, True):
             with pytest.raises(DomainError):
                 run_suite(tol_overrides={"fd": value})
 
