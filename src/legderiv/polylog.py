@@ -31,6 +31,15 @@ reaches 2^-57 of the least |f| there.  ``_piece(x)`` says which piece's table
 runs on [-1, 1/2], for polylog and orderderiv alike; above 1/2 it is
 floor(8v) + 8.  Inversion, the only branch that recurses, lands on a piece:
 every call takes at most one hop.
+
+The paper's P3, P4 and frak_I take Li_2, Li_3 and Li_4 at the same few
+arguments (t, 1 - t, t/(t - 1)).  The private ``_li234(x)`` returns all three
+from one pass: one Horner loop over the three piece tables side by side (the
+zero-padded rows of ``_rows``), or one log(v) and one loop each over the a and
+b rows above 1/2, and one recursion at 1/x below -1 through the same inversion
+step (``_inverted``) as ``_li``.  Each value equals ``polylog(s, x)`` bit for
+bit.  ``frak_I``, ``first_integral(3, .)``, ``_closed_form(3 and 4)`` and
+verify's antiderivative displays call it.
 """
 
 from __future__ import annotations
@@ -213,10 +222,8 @@ def _log_expansion(s: int, x: float) -> float:
     return _horner(a, h) + math.log(v) * _horner(b, h)
 
 
-def _inversion(s: int, x: float) -> float:
-    # x < -1; ln(-x) > 0 and 1/x lands in (-1, 0).
-    lgm = math.log(-x)
-    recip = _li(s, 1.0 / x)
+def _inverted(s: int, recip: float, lgm: float) -> float:
+    # Li_s(x) for x < -1 from recip = Li_s(1/x) and lgm = ln(-x) > 0.
     if s == 2:
         return -recip - _ZETA2 - 0.5 * lgm * lgm
     if s == 3:
@@ -229,13 +236,65 @@ def _inversion(s: int, x: float) -> float:
 
 def _li(s: int, x: float) -> float:
     # Li_s(x) for s in 2..5 and finite x < 1, as checked by polylog; inversion maps
-    # x < -1 into the pieces, so every call enters here at most twice.
+    # x < -1 (1/x in (-1, 0)) into the pieces, so every call enters here at most twice.
     if -1.0 <= x <= _SERIES_CUT:
         i = _piece(x)
         return x * _horner(_SERIES_PIECES[s][i], x - _MIDPOINTS[i])
     if x > 0.0:
         return _log_expansion(s, x)
-    return _inversion(s, x)
+    return _inverted(s, _li(s, 1.0 / x), math.log(-x))
+
+
+def _rows(*columns: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
+    # The columns side by side, each zero-padded at its high-power end to the
+    # longest.  A Horner pass goes 0 -> 0*x + 0 = 0 -> 0*x + c = c through the
+    # padding, so each column gives the same bits as its own _horner pass.
+    width = max(map(len, columns))
+    return tuple(zip(*((0.0,) * (width - len(col)) + col for col in columns)))
+
+
+# _li234's tables: the s = 2, 3, 4 rows of each piece of [-1, 1/2] side by side,
+# and of each piece of v in [0, 3/4) its a rows and its b rows.
+_LI234_PIECES = tuple(_rows(*(_SERIES_PIECES[s][i] for s in (2, 3, 4))) for i in range(12))
+_LI234_LOG = {
+    i: tuple(_rows(*(_LOG_PIECES[s][i][j] for s in (2, 3, 4))) for j in (0, 1))
+    for i in range(8, 14)
+}
+
+
+def _li234(x: float) -> tuple[float, float, float]:
+    # (Li_2, Li_3, Li_4)(x) for finite x <= 1, each equal to polylog(s, x) bit for
+    # bit: the three tables of x's piece in one Horner loop, one log(v) above 1/2.
+    if -1.0 <= x <= _SERIES_CUT:
+        i = _piece(x)
+        h = x - _MIDPOINTS[i]
+        l2 = l3 = l4 = 0.0
+        for c2, c3, c4 in _LI234_PIECES[i]:
+            l2 = l2 * h + c2
+            l3 = l3 * h + c3
+            l4 = l4 * h + c4
+        return x * l2, x * l3, x * l4
+    if x == 1.0:
+        return _ZETA2, _ZETA3, _ZETA4
+    if x > 0.0:
+        v = -math.log(x)
+        i = math.floor(8.0 * v) + 8
+        a_rows, b_rows = _LI234_LOG[i]
+        h = v - _MIDPOINTS[i]
+        a2 = a3 = a4 = b2 = b3 = b4 = 0.0
+        for c2, c3, c4 in a_rows:
+            a2 = a2 * h + c2
+            a3 = a3 * h + c3
+            a4 = a4 * h + c4
+        for c2, c3, c4 in b_rows:
+            b2 = b2 * h + c2
+            b3 = b3 * h + c3
+            b4 = b4 * h + c4
+        lv = math.log(v)
+        return a2 + lv * b2, a3 + lv * b3, a4 + lv * b4
+    r2, r3, r4 = _li234(1.0 / x)
+    lgm = math.log(-x)
+    return _inverted(2, r2, lgm), _inverted(3, r3, lgm), _inverted(4, r4, lgm)
 
 
 def polylog(s: int, x: float) -> float:

@@ -45,7 +45,7 @@ from .orderderiv import (
     dilog_reflection,
     trilog_identity,
 )
-from .polylog import as_order, polylog, trigamma, zeta_const
+from .polylog import _li234, as_order, polylog, trigamma, zeta_const
 from .quadrature import EndpointFlag, integrate
 
 __all__ = [
@@ -182,7 +182,8 @@ def _result(
     sample_count: int | None = None,
 ) -> CheckResult:
     devs = list(deviations)
-    max_abs = max(devs) if devs else 0.0
+    # max() keeps a NaN only when it comes first; a NaN deviation fails the check.
+    max_abs = math.nan if any(map(math.isnan, devs)) else max(devs, default=0.0)
     max_rel = max_abs / scale if scale > 0.0 else max_abs
     tol = tols[key]
     default_tol = _DEFAULT_TOLS[key]
@@ -297,10 +298,8 @@ def check_identities(
 
 
 def _anti_li4_landen(t: float) -> float:
-    w = t / (t - 1.0)
-    return (
-        -0.5 * polylog(2, w) ** 2 + t * polylog(4, w) + math.log1p(-t) * polylog(3, w)
-    )
+    li2w, li3w, li4w = _li234(t / (t - 1.0))
+    return -0.5 * li2w**2 + t * li4w + math.log1p(-t) * li3w
 
 
 def _anti_li2_squared(t: float) -> float:
@@ -321,10 +320,9 @@ def _anti_li2_squared(t: float) -> float:
 def _anti_log_squares(x: float) -> float:
     lx = math.log(x)
     lu = math.log1p(-x)
-    w = x / (x - 1.0)
-    li2x = polylog(2, x)
-    li2u = polylog(2, 1.0 - x)
-    li2w = polylog(2, w)
+    li2x, li3x, li4x = _li234(x)
+    li2u, li3u, li4u = _li234(1.0 - x)
+    li2w, li3w, li4w = _li234(x / (x - 1.0))
     return (
         -4.0
         + 24.0 * x
@@ -340,12 +338,12 @@ def _anti_log_squares(x: float) -> float:
         + (4.0 - 4.0 * lu + 2.0 * lu * lu) * li2u
         - (4.0 - 4.0 * lx + 2.0 * lx * lx) * li2x
         - (2.0 * lu * lu - 4.0 * lu * lx + 2.0 * lx * lx) * li2w
-        - 4.0 * (1.0 - lx) * polylog(3, x)
-        + 4.0 * (1.0 - lu) * polylog(3, 1.0 - x)
-        + 4.0 * (lx - lu) * polylog(3, w)
-        + 4.0 * polylog(4, 1.0 - x)
-        - 4.0 * polylog(4, x)
-        - 4.0 * polylog(4, w)
+        - 4.0 * (1.0 - lx) * li3x
+        + 4.0 * (1.0 - lu) * li3u
+        + 4.0 * (lx - lu) * li3w
+        + 4.0 * li4u
+        - 4.0 * li4x
+        - 4.0 * li4w
     )
 
 
@@ -492,20 +490,37 @@ def _trigammas(top: int) -> Iterator[tuple[int, float]]:
 def _partial_sums(terms: int) -> tuple[float, float, float, float]:
     """Partial sums of psi'(k)/k^2 and psi'(k+1)/k^2 to K = ``terms``, the
     analytic tail of the first past K, and zeta(4) - sum_{k<=K} 1/k^4."""
+    # _trigammas' backward walk, inline on a float k: the same bits, no generator
     main = shifted = h3 = h4 = h5 = 0.0
-    for k, tk in _trigammas(terms):
-        k2 = float(k) * float(k)
+    tk = trigamma(terms + 1)
+    k = float(terms)
+    while k > 0.0:
+        k2 = k * k
+        inv = 1.0 / k2
+        tk += inv
         main += tk / k2
-        shifted += (tk - 1.0 / k2) / k2
+        shifted += (tk - inv) / k2
         h3 += 1.0 / (k2 * k)
         h4 += 1.0 / (k2 * k2)
         h5 += 1.0 / (k2 * k2 * k)
+        k -= 1.0
     # sum_{k>K} psi'(k)/k^2 with psi'(k) ~ 1/k + 1/(2k^2) + 1/(6k^3) - ...
     # expressed through zeta tails; the dropped -1/(30 k^7) layer contributes
     # less than 1/(180 K^6).
     tail4 = zeta_const(4) - h4
     tail = (zeta_const(3) - h3) + 0.5 * tail4 + (zeta_const(5) - h5) / 6.0
     return main, shifted, tail, tail4
+
+
+def _brute_force(terms: int) -> tuple[float, float]:
+    # sum_{k<=K} (psi'(k) - psi'(k+K))/k^2 and the dropped sum_{k<=K} psi'(k+K)/k^2,
+    # from one walk of both backward recurrences.
+    naive = dropped = 0.0
+    for (k, tk), (_, tk_shifted) in zip(_trigammas(terms), _trigammas(2 * terms)):
+        k2 = float(k) * float(k)
+        naive += (tk - tk_shifted) / k2
+        dropped += tk_shifted / k2
+    return naive, dropped
 
 
 def trigamma_sum(terms: int = DEFAULT_SUM_TERMS, accelerate: bool = True) -> float:
@@ -520,10 +535,7 @@ def trigamma_sum(terms: int = DEFAULT_SUM_TERMS, accelerate: bool = True) -> flo
     """
     terms = as_order(terms, 1, 10**8, "terms")
     if not accelerate:
-        total = 0.0
-        for (k, tk), (_, tk_shifted) in zip(_trigammas(terms), _trigammas(2 * terms)):
-            total += (tk - tk_shifted) / (float(k) * float(k))
-        return total
+        return _brute_force(terms)[0]
     main, _, tail, _ = _partial_sums(terms)
     return main + tail
 
@@ -577,12 +589,9 @@ def check_appendix_b(
 
     # Brute-force slow convergence, measured against its predicted gap.
     naive_terms = 1000
-    naive = trigamma_sum(naive_terms, accelerate=False)
+    naive, dropped = _brute_force(naive_terms)
     gap = trigamma_sum_target() - naive
     _, _, naive_tail, _ = _partial_sums(naive_terms)
-    dropped = 0.0
-    for (k, _), (_, tk_shifted) in zip(_trigammas(naive_terms), _trigammas(2 * naive_terms)):
-        dropped += tk_shifted / (float(k) * float(k))
     predicted_gap = dropped + naive_tail
     results.append(
         _result(

@@ -15,7 +15,12 @@ from legderiv import (
     polylog,
 )
 
-MPMATH_POINTS = (-0.5, 0.0, 0.5, 0.9, 0.99) + tuple(1.0 - 10.0**-k for k in range(1, 16))
+# the docstring's 1e-14 down to the floor of the domain, where the series
+# ratio (1-z)/2 nears 0.95
+MPMATH_POINTS = (
+    (math.nextafter(-0.9, 0.0), -0.9 + 1e-12, -0.899, -0.85, -0.5, 0.0, 0.5, 0.9, 0.99)
+    + tuple(1.0 - 10.0**-k for k in range(1, 16))
+)
 
 
 class TestOrderDerivativeFD:

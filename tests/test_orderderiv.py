@@ -216,6 +216,15 @@ class TestInnerIntegral:
         )
         assert inner_integral_I(0.0) == pytest.approx(q.value, abs=1e-9)
 
+    def test_relative_accuracy_against_mpmath(self):
+        # the docstring's bound, P3's: 1e-15 on z >= 0 and 1e-14 on z < 0, at
+        # both ends of the domain and between
+        zs = [math.nextafter(-1.0, 0.0), -1.0 + 1e-12, -1.0 + 1e-6, -0.3, 0.3, 0.9, 1.0 - 1e-12]
+        for z in zs:
+            reference = (1 + mp.mpf(z)) * mpmath_order_derivatives(z)[3]
+            rel = float(abs((inner_integral_I(z) - reference) / reference))
+            assert rel <= (1e-15 if z >= 0.0 else 1e-14), (z, rel)
+
     def test_derivative_is_p3_plus_3p2(self):
         rng = np.random.default_rng(5)
         for z in rng.uniform(-0.9, 0.99, size=50):

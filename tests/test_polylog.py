@@ -228,6 +228,23 @@ class TestPolylogSeriesConsistency:
                 assert len(entries) == expected <= 2, (s, x, entries)
                 assert len(checks) == 1, (s, x)
 
+    def test_li234_is_polylog_bit_for_bit(self):
+        # The fused (Li_2, Li_3, Li_4) pass runs the same tables, rows and
+        # inversion identities as polylog, so every value keeps its bits: seeded
+        # x in every region, inversion down to -1e12, the piece ends x = k/8 and
+        # e^(-k/8) with their neighbours, and the special points.
+        kernel = importlib.import_module("legderiv.polylog")
+        rng = np.random.default_rng(234)
+        xs = [float(x) for lo, hi in ((-1.0, 0.5), (0.5, 1.0), (-4.0, -1.0))
+              for x in rng.uniform(lo, hi, size=400)]
+        xs += [-float(x) for x in 10.0 ** rng.uniform(0.0, 12.0, size=400)] + [-1e12]
+        for cut in [k / 8.0 for k in range(-8, 5)] + [math.exp(-k / 8.0) for k in range(1, 6)]:
+            xs += [cut, math.nextafter(cut, -math.inf), math.nextafter(cut, math.inf)]
+        xs += [1.0, -1.0, 0.0, -0.0, math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0), -1e-300]
+        for x in xs:
+            fused = [v.hex() for v in kernel._li234(x)]
+            assert fused == [polylog(s, x).hex() for s in (2, 3, 4)], x
+
     def test_derivative_ladder(self):
         # x d/dx Li_s(x) = Li_{s-1}(x)
         rng = np.random.default_rng(7)

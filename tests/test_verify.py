@@ -22,7 +22,7 @@ from legderiv import (
     trigamma_sum,
     trigamma_sum_target,
 )
-from legderiv import oracle, verify
+from legderiv import oracle, orderderiv, polylog, verify
 from legderiv.verify import _derivative, resolve_tolerances
 
 # The report schema: every check id in report order, with its required flag.
@@ -104,6 +104,16 @@ class TestSuite:
                   "max_rel_dev", "tolerance", "note"]
             for k in keys
         )
+
+    @pytest.mark.parametrize("seed", [verify.DEFAULT_SEED, 6007])
+    def test_fused_polylog_keeps_report_bits(self, monkeypatch, seed):
+        # frak_I, the closed forms, first_integral(3, .) and the antiderivative
+        # displays take (Li_2, Li_3, Li_4) from one fused pass; with one
+        # polylog call per order instead, the report keeps every byte.
+        fused = run_suite(seed=seed).to_json()
+        for module in (orderderiv, verify):
+            monkeypatch.setattr(module, "_li234", lambda x: tuple(polylog(s, x) for s in (2, 3, 4)))
+        assert run_suite(seed=seed).to_json() == fused
 
     def test_tightened_fd_tolerance_flags_floor(self):
         tight = run_suite(tol_overrides={"fd": 1e-12})
@@ -304,6 +314,32 @@ class TestTrigammaSum:
         gap2 = abs(trigamma_sum(1000, accelerate=False) - trigamma_sum_target())
         assert gap1 / gap2 == pytest.approx(2.0, rel=0.15)
 
+    @pytest.mark.parametrize("terms", [1, 19, 20, 21, 1000, 10**4])
+    def test_partial_sums_keep_the_walk_bits(self, terms):
+        # the inline walk on a float k against the loop over _trigammas
+        main = shifted = h3 = h4 = h5 = 0.0
+        for k, tk in verify._trigammas(terms):
+            k2 = float(k) * float(k)
+            main += tk / k2
+            shifted += (tk - 1.0 / k2) / k2
+            h3 += 1.0 / (k2 * k)
+            h4 += 1.0 / (k2 * k2)
+            h5 += 1.0 / (k2 * k2 * k)
+        tail4 = verify.zeta_const(4) - h4
+        tail = (verify.zeta_const(3) - h3) + 0.5 * tail4 + (verify.zeta_const(5) - h5) / 6.0
+        expected = (main, shifted, tail, tail4)
+        assert [v.hex() for v in verify._partial_sums(terms)] == [v.hex() for v in expected]
+
+    def test_brute_force_is_the_two_walks(self):
+        # one walk gives the naive sum and the dropped sum of two separate walks
+        naive = dropped = 0.0
+        for (k, tk), (_, tks) in zip(verify._trigammas(1000), verify._trigammas(2000)):
+            naive += (tk - tks) / (float(k) * float(k))
+        for (k, _), (_, tks) in zip(verify._trigammas(1000), verify._trigammas(2000)):
+            dropped += tks / (float(k) * float(k))
+        assert [v.hex() for v in verify._brute_force(1000)] == [naive.hex(), dropped.hex()]
+        assert trigamma_sum(1000, accelerate=False) == naive
+
     def test_domain(self):
         for terms in (0, 10**9, 1.5, 2.0, True):
             with pytest.raises(DomainError):
@@ -323,6 +359,14 @@ class TestDerivative:
 
 
 class TestCheckResultType:
+    @pytest.mark.parametrize("devs", [[1e-16, math.nan], [math.nan, 1e-16], [1e-16, math.inf]])
+    @pytest.mark.parametrize("scale", [1.0, 0.0])
+    def test_non_finite_deviation_fails(self, devs, scale):
+        # max() drops a NaN that does not come first; the check must not pass
+        result = verify._result("x", devs, scale, verify._DEFAULT_TOLS, "fd_n1")
+        assert not result.passed
+        assert not math.isfinite(result.max_abs_dev)
+
     def test_fields(self):
         r = CheckResult(
             id="demo", sample_count=3, max_abs_dev=1e-9, max_rel_dev=1e-10,
