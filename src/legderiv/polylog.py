@@ -12,13 +12,15 @@ Evaluation regions for Li_s(x), x <= 1:
                       s = 3: 10/10/11/11/11/11/11/12/12/13/13/14
                       s = 4: 10/10/10/10/10/11/11/11/11/12/12/13
                       s = 5: 9/9/9/10/10/10/10/10/11/11/11/12
-* ``1/2 < x < 1``     a(v) + ln(v) b(v) in v = -ln(x) in (0, ln 2), with zeta
+* ``1/2 < x < 1``     a(v) + ln(v) b(v) in v = -ln(x) in (0, ln 2): a has zeta
                       coefficients, re-expanded about the midpoint of each 1/8-wide
-                      piece of 0 <= v < 3/4; a and b rows per piece, from x = 1 down:
-                      s = 2: a 8/8/9/9/9/9, b 2
-                      s = 3: a 9/9/9/9/9/9, b 3
-                      s = 4: a 8/8/9/9/9/9, b 4
-                      s = 5: a 9/9/9/9/9/9, b 5
+                      piece of 0 <= v < 3/4, and b(v) = -(-v)^(s-1)/(s-1)! is one
+                      monomial, evaluated in closed form; a rows per piece, from
+                      x = 1 down:
+                      s = 2: a 8/8/9/9/9/9
+                      s = 3: a 9/9/9/9/9/9
+                      s = 4: a 8/8/9/9/9/9
+                      s = 5: a 9/9/9/9/9/9
 * ``x = 1``           zeta(s) (s >= 2; Li_1(1) diverges)
 * ``x < -1``          real inversion identities in terms of Li_s(1/x), 1/x on a piece
 
@@ -35,10 +37,10 @@ every call takes at most one hop.
 The paper's P3, P4 and frak_I take Li_2, Li_3 and Li_4 at the same few
 arguments (t, 1 - t, t/(t - 1)).  The private ``_li234(x)`` returns all three
 from one pass: one Horner loop over the three piece tables side by side (the
-zero-padded rows of ``_rows``), or one log(v) and one loop each over the a and
-b rows above 1/2, and one recursion at 1/x below -1 through the same inversion
-step (``_inverted``) as ``_li``.  Each value equals ``polylog(s, x)`` bit for
-bit.  ``frak_I``, ``first_integral(3, .)``, ``_closed_form(3 and 4)`` and
+zero-padded rows of ``_rows``), of x's piece on [-1, 1/2] or of the a rows of
+v's piece above 1/2, then one log(v) times b(v) spelled as ``_li`` spells it;
+below -1, one recursion at 1/x through the same inversion step (``_inverted``)
+as ``_li``.  Each value equals ``polylog(s, x)`` bit for bit.  ``frak_I``, ``first_integral(3, .)``, ``_closed_form(3 and 4)`` and
 verify's antiderivative displays call it.
 """
 
@@ -153,6 +155,8 @@ def _recentred(
     # z > -1, and the least v = -ln x of a float x < 1 is ~2^-53.  |f| is monotone on
     # every piece, Li_s(e^-v) in v too, so it is least at one of its ends.  The rows
     # run to the longer column's end, and each column is cut to at most its own.
+    # orderderiv keeps both columns; polylog's ln(x) pieces keep only a, since their
+    # b(v) is a monomial that _li and _li234 evaluate in closed form.
     c = _MIDPOINTS[i]
     columns = [_taylor_at(table, c - x0) for table in (a, b) if table]
     ends = (c - 0.0625, c + 0.0625)
@@ -198,28 +202,20 @@ def _zeta_at(m: int) -> float:
     return -_BERNOULLI[-m // 2] / (1 - m)
 
 
-def _log_pieces(s: int) -> dict[int, tuple[tuple[float, ...], ...]]:
-    # Li_s(e^-v) = a(v) + ln(v) b(v) for 0 < v < ln 2, re-centred by _recentred on the
-    # pieces 8..13 of [0, 3/4): a_j = (-1)^j zeta(s-j)/j! for j < 24, as far as
-    # _BERNOULLI reaches, but H_{s-1}/(s-1)! at the pole j = s-1, whose ln(v) part is
-    # b(v) = -(-v)^(s-1)/(s-1)!.
+def _log_pieces(s: int) -> dict[int, tuple[float, ...]]:
+    # Li_s(e^-v) = a(v) + ln(v) b(v) for 0 < v < ln 2: a_j = (-1)^j zeta(s-j)/j! for
+    # j < 24, as far as _BERNOULLI reaches, but H_{s-1}/(s-1)! at the pole j = s-1, whose
+    # ln(v) part is the monomial b(v) = -(-v)^(s-1)/(s-1)!.  _recentred sizes a on the
+    # pieces 8..13 of [0, 3/4) against the whole of f, b included, and only a is kept:
+    # _li and _li234 evaluate b(v) as it stands.
     harmonic = sum(1.0 / k for k in range(1, s))
     zeta = [harmonic if j == s - 1 else _zeta_at(s - j) for j in range(2 * len(_BERNOULLI))]
     a = tuple((-1) ** j * z / math.factorial(j) for j, z in enumerate(zeta))[::-1]
     b = ((-1) ** s / math.factorial(s - 1),) + (0.0,) * (s - 1)
-    return {i: _recentred(i, a, b) for i in range(8, 14)}
+    return {i: _recentred(i, a, b)[0] for i in range(8, 14)}
 
 
 _LOG_PIECES = {s: _log_pieces(s) for s in range(2, 6)}
-
-
-def _log_expansion(s: int, x: float) -> float:
-    # 1/2 < x < 1, so v = -ln x lies in the piece floor(8v) + 8 of [0, 3/4).
-    v = -math.log(x)
-    i = math.floor(8.0 * v) + 8
-    a, b = _LOG_PIECES[s][i]
-    h = v - _MIDPOINTS[i]
-    return _horner(a, h) + math.log(v) * _horner(b, h)
 
 
 def _inverted(s: int, recip: float, lgm: float) -> float:
@@ -241,7 +237,14 @@ def _li(s: int, x: float) -> float:
         i = _piece(x)
         return x * _horner(_SERIES_PIECES[s][i], x - _MIDPOINTS[i])
     if x > 0.0:
-        return _log_expansion(s, x)
+        # v = -ln x lies in the piece floor(8v) + 8 of [0, 3/4); b(v) is built up
+        # from b = v for s = 2 by the factor -v/k, as _li234 spells it.
+        v = -math.log(x)
+        i = math.floor(8.0 * v) + 8
+        b = v
+        for k in range(2, s):
+            b *= -v / k
+        return _horner(_LOG_PIECES[s][i], v - _MIDPOINTS[i]) + math.log(v) * b
     return _inverted(s, _li(s, 1.0 / x), math.log(-x))
 
 
@@ -253,13 +256,10 @@ def _rows(*columns: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
     return tuple(zip(*((0.0,) * (width - len(col)) + col for col in columns)))
 
 
-# _li234's tables: the s = 2, 3, 4 rows of each piece of [-1, 1/2] side by side,
-# and of each piece of v in [0, 3/4) its a rows and its b rows.
+# _li234's tables: the s = 2, 3, 4 rows of each piece side by side, of [-1, 1/2]
+# and of v in [0, 3/4) (the a rows).
 _LI234_PIECES = tuple(_rows(*(_SERIES_PIECES[s][i] for s in (2, 3, 4))) for i in range(12))
-_LI234_LOG = {
-    i: tuple(_rows(*(_LOG_PIECES[s][i][j] for s in (2, 3, 4))) for j in (0, 1))
-    for i in range(8, 14)
-}
+_LI234_LOG = {i: _rows(*(_LOG_PIECES[s][i] for s in (2, 3, 4))) for i in range(8, 14)}
 
 
 def _li234(x: float) -> tuple[float, float, float]:
@@ -268,33 +268,28 @@ def _li234(x: float) -> tuple[float, float, float]:
     if -1.0 <= x <= _SERIES_CUT:
         i = _piece(x)
         h = x - _MIDPOINTS[i]
-        l2 = l3 = l4 = 0.0
-        for c2, c3, c4 in _LI234_PIECES[i]:
-            l2 = l2 * h + c2
-            l3 = l3 * h + c3
-            l4 = l4 * h + c4
-        return x * l2, x * l3, x * l4
-    if x == 1.0:
+        rows = _LI234_PIECES[i]
+    elif x == 1.0:
         return _ZETA2, _ZETA3, _ZETA4
-    if x > 0.0:
+    elif x > 0.0:
         v = -math.log(x)
         i = math.floor(8.0 * v) + 8
-        a_rows, b_rows = _LI234_LOG[i]
         h = v - _MIDPOINTS[i]
-        a2 = a3 = a4 = b2 = b3 = b4 = 0.0
-        for c2, c3, c4 in a_rows:
-            a2 = a2 * h + c2
-            a3 = a3 * h + c3
-            a4 = a4 * h + c4
-        for c2, c3, c4 in b_rows:
-            b2 = b2 * h + c2
-            b3 = b3 * h + c3
-            b4 = b4 * h + c4
-        lv = math.log(v)
-        return a2 + lv * b2, a3 + lv * b3, a4 + lv * b4
-    r2, r3, r4 = _li234(1.0 / x)
-    lgm = math.log(-x)
-    return _inverted(2, r2, lgm), _inverted(3, r3, lgm), _inverted(4, r4, lgm)
+        rows = _LI234_LOG[i]
+    else:
+        r2, r3, r4 = _li234(1.0 / x)
+        lgm = math.log(-x)
+        return _inverted(2, r2, lgm), _inverted(3, r3, lgm), _inverted(4, r4, lgm)
+    l2 = l3 = l4 = 0.0
+    for c2, c3, c4 in rows:
+        l2 = l2 * h + c2
+        l3 = l3 * h + c3
+        l4 = l4 * h + c4
+    if x <= _SERIES_CUT:
+        return x * l2, x * l3, x * l4
+    lv = math.log(v)
+    b3 = v * (-v / 2)
+    return l2 + lv * v, l3 + lv * b3, l4 + lv * (b3 * (-v / 3))
 
 
 def polylog(s: int, x: float) -> float:

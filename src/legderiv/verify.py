@@ -28,7 +28,7 @@ import math
 import numbers
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .exceptions import DomainError
 from .oracle import _five_point, ode_residual, order_derivatives
@@ -127,15 +127,16 @@ class CheckReport:
                     "required": r.required,
                     "passed": r.passed,
                     "sample_count": r.sample_count,
-                    "max_abs_dev": r.max_abs_dev,
-                    "max_rel_dev": r.max_rel_dev,
+                    # JSON has no NaN or Infinity: a non-finite deviation is null
+                    "max_abs_dev": r.max_abs_dev if math.isfinite(r.max_abs_dev) else None,
+                    "max_rel_dev": r.max_rel_dev if math.isfinite(r.max_rel_dev) else None,
                     "tolerance": r.tolerance,
                     "note": r.note,
                 }
                 for r in self.results
             ],
         }
-        return json.dumps(doc, indent=2)
+        return json.dumps(doc, indent=2, allow_nan=False)
 
     def to_text(self) -> str:
         lines = []
@@ -479,18 +480,10 @@ def check_appendix_a(
 # --- trigamma series and endpoint limits -----------------------------------
 
 
-def _trigammas(top: int) -> Iterator[tuple[int, float]]:
-    # (k, psi'(k)) for k = top..1 by the stable backward step psi'(k) = psi'(k+1) + 1/k^2
-    value = trigamma(top + 1)
-    for k in range(top, 0, -1):
-        value += 1.0 / (float(k) * float(k))
-        yield k, value
-
-
 def _partial_sums(terms: int) -> tuple[float, float, float, float]:
     """Partial sums of psi'(k)/k^2 and psi'(k+1)/k^2 to K = ``terms``, the
     analytic tail of the first past K, and zeta(4) - sum_{k<=K} 1/k^4."""
-    # _trigammas' backward walk, inline on a float k: the same bits, no generator
+    # psi'(k), k = K..1, by the stable backward step psi'(k+1) + 1/k^2 on a float k
     main = shifted = h3 = h4 = h5 = 0.0
     tk = trigamma(terms + 1)
     k = float(terms)
@@ -514,12 +507,17 @@ def _partial_sums(terms: int) -> tuple[float, float, float, float]:
 
 def _brute_force(terms: int) -> tuple[float, float]:
     # sum_{k<=K} (psi'(k) - psi'(k+K))/k^2 and the dropped sum_{k<=K} psi'(k+K)/k^2,
-    # from one walk of both backward recurrences.
+    # from one walk of both backward recurrences, inline on a float k as in _partial_sums.
     naive = dropped = 0.0
-    for (k, tk), (_, tk_shifted) in zip(_trigammas(terms), _trigammas(2 * terms)):
-        k2 = float(k) * float(k)
+    tk, tk_shifted = trigamma(terms + 1), trigamma(2 * terms + 1)
+    k = shift = float(terms)
+    while k > 0.0:
+        k2, j = k * k, k + shift
+        tk += 1.0 / k2
+        tk_shifted += 1.0 / (j * j)
         naive += (tk - tk_shifted) / k2
         dropped += tk_shifted / k2
+        k -= 1.0
     return naive, dropped
 
 

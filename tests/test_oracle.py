@@ -43,12 +43,14 @@ class TestOrderDerivativeFD:
                 assert values[n] == pytest.approx(p_deriv(n, z), abs=1e-12), (n, z)
 
     def test_against_mpmath(self):
+        # one mp.diffs pass per z gives the nu-derivatives of every order; at 30
+        # digits they agree with 60-digit ones to 1e-31 relative on these points
         for z in MPMATH_POINTS:
             values = order_derivatives(z)
-            for n in (1, 2, 3, 4):
-                with mp.workdps(50):
-                    ref = mp.diff(lambda nu: mp.legenp(nu, 0, mp.mpf(z), type=2), 0, n)
-                    rel = float(abs((values[n] - ref) / ref))
+            with mp.workdps(30):
+                refs = list(mp.diffs(lambda nu: mp.legenp(nu, 0, mp.mpf(z), type=2), 0, 4))
+                rels = [float(abs((values[n] - refs[n]) / refs[n])) for n in (1, 2, 3, 4)]
+            for n, rel in enumerate(rels, start=1):
                 assert rel <= 1e-14, (n, z, rel)
 
     @pytest.mark.parametrize("nu", [1e-2, -1e-2])

@@ -19,6 +19,7 @@ from legderiv import (
     integrate,
     p_deriv,
     run_suite,
+    trigamma,
     trigamma_sum,
     trigamma_sum_target,
 )
@@ -294,6 +295,15 @@ class TestIndividualChecks:
                 check_appendix_b(terms)
 
 
+def _trigammas(top):
+    # (k, psi'(k)) for k = top..1 by the stable backward step psi'(k) = psi'(k+1) + 1/k^2:
+    # the reference walk for the inline ones in verify
+    value = trigamma(top + 1)
+    for k in range(top, 0, -1):
+        value += 1.0 / (float(k) * float(k))
+        yield k, value
+
+
 class TestTrigammaSum:
     def test_accelerated_hits_target(self):
         assert trigamma_sum(10**4) == pytest.approx(trigamma_sum_target(), abs=1e-9)
@@ -318,7 +328,7 @@ class TestTrigammaSum:
     def test_partial_sums_keep_the_walk_bits(self, terms):
         # the inline walk on a float k against the loop over _trigammas
         main = shifted = h3 = h4 = h5 = 0.0
-        for k, tk in verify._trigammas(terms):
+        for k, tk in _trigammas(terms):
             k2 = float(k) * float(k)
             main += tk / k2
             shifted += (tk - 1.0 / k2) / k2
@@ -333,9 +343,9 @@ class TestTrigammaSum:
     def test_brute_force_is_the_two_walks(self):
         # one walk gives the naive sum and the dropped sum of two separate walks
         naive = dropped = 0.0
-        for (k, tk), (_, tks) in zip(verify._trigammas(1000), verify._trigammas(2000)):
+        for (k, tk), (_, tks) in zip(_trigammas(1000), _trigammas(2000)):
             naive += (tk - tks) / (float(k) * float(k))
-        for (k, _), (_, tks) in zip(verify._trigammas(1000), verify._trigammas(2000)):
+        for (k, _), (_, tks) in zip(_trigammas(1000), _trigammas(2000)):
             dropped += tks / (float(k) * float(k))
         assert [v.hex() for v in verify._brute_force(1000)] == [naive.hex(), dropped.hex()]
         assert trigamma_sum(1000, accelerate=False) == naive
@@ -366,6 +376,21 @@ class TestCheckResultType:
         result = verify._result("x", devs, scale, verify._DEFAULT_TOLS, "fd_n1")
         assert not result.passed
         assert not math.isfinite(result.max_abs_dev)
+
+    def test_non_finite_deviation_is_strict_json(self):
+        # JSON has no NaN or Infinity: a failing report writes such a deviation as null
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        results = tuple(
+            verify._result(name, devs, 1.0, verify._DEFAULT_TOLS, "fd_n1")
+            for name, devs in (("nan", [math.nan]), ("inf", [1e-16, math.inf]), ("ok", [1e-16]))
+        )
+        report = verify.CheckReport(results=results, all_passed=False)
+        rows = json.loads(report.to_json(), parse_constant=reject)["results"]
+        assert [(r["max_abs_dev"], r["max_rel_dev"]) for r in rows] == [
+            (None, None), (None, None), (1e-16, 1e-16)
+        ]
 
     def test_fields(self):
         r = CheckResult(
