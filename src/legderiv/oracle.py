@@ -30,7 +30,6 @@ __all__ = ["order_derivatives", "ode_residual"]
 
 _SERIES_CAP = 100_000
 _Z_FLOOR = -0.9  # series ratio (1-z)/2 reaches 0.95 here; trust ends
-_FACTORIALS = (1.0, 1.0, 2.0, 6.0, 24.0)
 
 
 def order_derivatives(
@@ -47,22 +46,29 @@ def order_derivatives(
     if not _Z_FLOOR < z <= 1.0:
         raise DomainError(f"order_derivatives expects z in ({_Z_FLOOR}, 1], got {z!r}")
     x = 0.5 * (1.0 - z)
-    term = [1.0, 0.0, 0.0, 0.0, 0.0]
-    total = list(term)
+    # the nu^0..nu^4 coefficients of the term (c) and of the sum (s)
+    c0, c1, c2, c3, c4 = s0, s1, s2, s3, s4 = 1.0, 0.0, 0.0, 0.0, 0.0
     tiny_streak = 0
     for k in range(max_terms):
         # Multiply by (k - nu)(k + 1 + nu) = k(k+1) - nu - nu^2, then x/(k+1)^2.
         kk = k * (k + 1.0)
         scale = x / ((k + 1.0) * (k + 1.0))
-        term = [
-            scale * (kk * c - c1 - c2)
-            for c, c1, c2 in zip(term, [0.0] + term[:4], [0.0, 0.0] + term[:3])
-        ]
-        total = [s + c for s, c in zip(total, term)]
-        if all(abs(c) <= 1e-17 * abs(s) + 1e-300 for c, s in zip(term, total)):
+        c0, c1, c2, c3, c4 = (
+            scale * (kk * c0),
+            scale * (kk * c1 - c0),
+            scale * (kk * c2 - c1 - c0),
+            scale * (kk * c3 - c2 - c1),
+            scale * (kk * c4 - c3 - c2),
+        )
+        s0, s1, s2, s3, s4 = s0 + c0, s1 + c1, s2 + c2, s3 + c3, s4 + c4
+        if (
+            abs(c0) <= 1e-17 * abs(s0) + 1e-300 and abs(c1) <= 1e-17 * abs(s1) + 1e-300
+            and abs(c2) <= 1e-17 * abs(s2) + 1e-300 and abs(c3) <= 1e-17 * abs(s3) + 1e-300
+            and abs(c4) <= 1e-17 * abs(s4) + 1e-300
+        ):
             tiny_streak += 1
             if tiny_streak >= 2:
-                return tuple(f * s for f, s in zip(_FACTORIALS, total))
+                return s0, s1, 2.0 * s2, 6.0 * s3, 24.0 * s4  # n! times the nu^n sum
         else:
             tiny_streak = 0
     raise ConvergenceError(
@@ -70,9 +76,10 @@ def order_derivatives(
     )
 
 
-def _five_point(fn: Callable[[float], float], x: float, h: float) -> float:
-    # Fourth-order central first difference on x +- h, x +- 2h.
-    return (8.0 * (fn(x + h) - fn(x - h)) - (fn(x + 2.0 * h) - fn(x - 2.0 * h))) / (12.0 * h)
+def _five_point(fn: Callable[[float], tuple[float, ...]], x: float, h: float) -> tuple[float, ...]:
+    # Fourth-order central first difference of each component of fn, on x +- h, x +- 2h.
+    points = fn(x + h), fn(x - h), fn(x + 2.0 * h), fn(x - 2.0 * h)
+    return tuple((8.0 * (a - b) - (c - d)) / (12.0 * h) for a, b, c, d in zip(*points))
 
 
 def ode_residual(n: int, z: float, dz: float) -> float:
@@ -91,5 +98,5 @@ def ode_residual(n: int, z: float, dz: float) -> float:
     def source(x: float) -> float:
         return n * p_deriv(n - 1, x) + n * (n - 1) * p_deriv(max(n - 2, 0), x)  # zero at n = 1
 
-    lhs = (1.0 - z * z) * _five_point(lambda x: p_deriv(n, x), z, dz)
+    lhs = (1.0 - z * z) * _five_point(lambda x: (p_deriv(n, x),), z, dz)[0]
     return abs(lhs - integrate(source, z, 1.0, tol=1e-13).value)

@@ -39,8 +39,8 @@ from __future__ import annotations
 import math
 
 from .exceptions import DomainError
-from .polylog import _MIDPOINTS, _SERIES_PIECES, _horner, _li234, _piece, _recentred, _rows
-from .polylog import as_order, polylog, zeta_const
+from .polylog import _MIDPOINTS, _SERIES_PIECES, _Li234, _horner, _li234, _piece, _recentred
+from .polylog import _rows, as_order, polylog, zeta_const
 
 __all__ = [
     "p_deriv",
@@ -234,14 +234,15 @@ def frak_I(t: float) -> float:
             f"frak_I is defined on the open interval (0, 1), got {t!r}; "
             "endpoint values are provided by frak_I_limit"
         )
-    u = 1.0 - t
-    lt = math.log(t)
-    lu = math.log1p(-t)
+    return _frak_I(math.log(t), math.log1p(-t), _li234(t), _li234(1.0 - t), _li234(t / (t - 1.0)))
+
+
+def _frak_I(lt: float, lu: float, kt: _Li234, ku: _Li234, kw: _Li234) -> float:
+    # frak_I from ln t, ln(1-t) and (Li_2, Li_3, Li_4) at t, 1 - t and t/(t - 1).
+    li2t, li3t, li4t = kt
+    li2u, li3u, li4u = ku
+    li2w, li3w, li4w = kw
     d = lt - lu  # ln(t/(1-t))
-    w = -t / u  # t/(t-1)
-    li2t, li3t, li4t = _li234(t)
-    li2u, li3u, li4u = _li234(u)
-    li2w, li3w, li4w = _li234(w)
     total = (lt * lt - lt * lu) * li2t - lu * lu * li2u + d * d * li2w - 0.5 * li2t * li2t
     # The 2 ln(t) Li_3(t) term carries a minus sign: that is what makes the
     # t-derivative equal ln(t) Li_2(t)/(1-t) (the endpoint limits are
@@ -282,26 +283,36 @@ def first_integral(eta: int, z: float, li_order: int = 2) -> float:
     li_order = as_order(li_order, 1, 3, "li_order")
     z = _check_z(1, z)
     t = 0.5 * (1.0 + z)
-    if eta == 1:
-        return (1.0 + z) * (math.log(t) - 1.0)
-    if eta == 2:
-        u = 0.5 * (1.0 - z)
-        return -2.0 * (1.0 + z) * (math.log(t) - 1.0) + 2.0 * (1.0 - z) * polylog(2, u)
-    zeta3 = zeta_const(3)
     lt = math.log(t)
+    if eta == 1:
+        return _int_p1(z, lt)
+    u = 0.5 * (1.0 - z)
+    if eta == 2:
+        return _int_p2(z, lt, polylog(2, u))
     li2t, li3t, _ = _li234(t)
-    head = 6.0 * (1.0 + z) * (
-        2.0 * li3t
-        + _PI2 / 6.0
-        - 1.0
-        + 2.0 * zeta3
-        - (li2t + _PI2 / 6.0 - 1.0) * lt
-    )
+    head = _int_p3_head(z, lt, li2t, li3t)
     if z == 1.0:
         return head  # the (1-z) group vanishes; avoids ln(0) * 0
-    u = 0.5 * (1.0 - z)
     li = polylog(1, t) if li_order == 1 else li2t if li_order == 2 else li3t
-    return head + 6.0 * (1.0 - z) * (li + math.log(u) * lt)
+    return _int_p3(z, head, lt, math.log(u), li)
+
+
+# The first integrals from their logs and polylogs; eta = 3 shares one head across li_order.
+def _int_p1(z: float, lt: float) -> float:
+    return (1.0 + z) * (lt - 1.0)
+
+
+def _int_p2(z: float, lt: float, li2u: float) -> float:
+    return -2.0 * (1.0 + z) * (lt - 1.0) + 2.0 * (1.0 - z) * li2u
+
+
+def _int_p3_head(z: float, lt: float, li2t: float, li3t: float) -> float:
+    bracket = 2.0 * li3t + _PI2 / 6.0 - 1.0 + 2.0 * zeta_const(3) - (li2t + _PI2 / 6.0 - 1.0) * lt
+    return 6.0 * (1.0 + z) * bracket
+
+
+def _int_p3(z: float, head: float, lt: float, lu: float, li: float) -> float:
+    return head + 6.0 * (1.0 - z) * (li + lu * lt)
 
 
 def _check_unit_interval(x: float) -> float:

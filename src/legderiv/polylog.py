@@ -40,8 +40,9 @@ from one pass: one Horner loop over the three piece tables side by side (the
 zero-padded rows of ``_rows``), of x's piece on [-1, 1/2] or of the a rows of
 v's piece above 1/2, then one log(v) times b(v) spelled as ``_li`` spells it;
 below -1, one recursion at 1/x through the same inversion step (``_inverted``)
-as ``_li``.  Each value equals ``polylog(s, x)`` bit for bit.  ``frak_I``, ``first_integral(3, .)``, ``_closed_form(3 and 4)`` and
-verify's antiderivative displays call it.
+as ``_li``.  Each value equals ``polylog(s, x)`` bit for bit.  ``frak_I``,
+``first_integral(3, .)``, ``_closed_form(3 and 4)``, verify's display families
+(``_t_displays``, ``_z_displays``) and two scalar antiderivative displays call it.
 """
 
 from __future__ import annotations
@@ -260,9 +261,10 @@ def _rows(*columns: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
 # and of v in [0, 3/4) (the a rows).
 _LI234_PIECES = tuple(_rows(*(_SERIES_PIECES[s][i] for s in (2, 3, 4))) for i in range(12))
 _LI234_LOG = {i: _rows(*(_LOG_PIECES[s][i] for s in (2, 3, 4))) for i in range(8, 14)}
+_Li234 = tuple[float, float, float]  # (Li_2, Li_3, Li_4) at one argument, as _li234 returns
 
 
-def _li234(x: float) -> tuple[float, float, float]:
+def _li234(x: float) -> _Li234:
     # (Li_2, Li_3, Li_4)(x) for finite x <= 1, each equal to polylog(s, x) bit for
     # bit: the three tables of x's piece in one Horner loop, one log(v) above 1/2.
     if -1.0 <= x <= _SERIES_CUT:

@@ -32,10 +32,10 @@ from typing import Callable, Iterable, Mapping
 
 from .exceptions import DomainError
 from .oracle import _five_point, ode_residual, order_derivatives
+from .orderderiv import _frak_I, _int_p1, _int_p2, _int_p3, _int_p3_head
 from .orderderiv import (
     _PI4,
     _closed_form,
-    first_integral,
     frak_I,
     frak_I_limit,
     inner_integral_I,
@@ -45,7 +45,7 @@ from .orderderiv import (
     dilog_reflection,
     trilog_identity,
 )
-from .polylog import _li234, as_order, polylog, trigamma, zeta_const
+from .polylog import _Li234, _li234, as_order, polylog, trigamma, zeta_const
 from .quadrature import EndpointFlag, integrate
 
 __all__ = [
@@ -204,9 +204,13 @@ def _result(
     )
 
 
-def _derivative(fn: Callable[[float], float], x: float) -> float:
-    # The five-point stencil, its step scaled by max(1, |x|).
+def _slopes(fn: Callable[[float], tuple[float, ...]], x: float) -> tuple[float, ...]:
+    # The five-point stencil of every component of fn, its step scaled by max(1, |x|).
     return _five_point(fn, x, 5e-6 * max(1.0, abs(x)))
+
+
+def _derivative(fn: Callable[[float], float], x: float) -> float:
+    return _slopes(lambda y: (fn(y),), x)[0]
 
 
 # --- closed forms vs. the nu-derivative oracle ----------------------------
@@ -298,15 +302,12 @@ def check_identities(
 # --- antiderivative displays (treated as hypotheses) -----------------------
 
 
-def _anti_li4_landen(t: float) -> float:
-    li2w, li3w, li4w = _li234(t / (t - 1.0))
-    return -0.5 * li2w**2 + t * li4w + math.log1p(-t) * li3w
+# Each display is one formula of its logs and polylogs, for _anti_* and _t_displays alike.
+def _li4_landen(t: float, lu: float, li2w: float, li3w: float, li4w: float) -> float:
+    return -0.5 * li2w**2 + t * li4w + lu * li3w
 
 
-def _anti_li2_squared(t: float) -> float:
-    lu = math.log1p(-t)
-    lt = math.log(t)
-    li2 = polylog(2, t)
+def _li2_squared(t: float, lt: float, lu: float, li2: float, li3u: float) -> float:
     return (
         -2.0
         + 6.0 * t
@@ -314,16 +315,14 @@ def _anti_li2_squared(t: float) -> float:
         - 2.0 * (1.0 - t - lt) * lu * lu
         - 2.0 * (t - (1.0 + t) * lu) * li2
         + t * li2 * li2
-        + 4.0 * polylog(3, 1.0 - t)
+        + 4.0 * li3u
     )
 
 
-def _anti_log_squares(x: float) -> float:
-    lx = math.log(x)
-    lu = math.log1p(-x)
-    li2x, li3x, li4x = _li234(x)
-    li2u, li3u, li4u = _li234(1.0 - x)
-    li2w, li3w, li4w = _li234(x / (x - 1.0))
+def _log_squares(x: float, lx: float, lu: float, kx: _Li234, ku: _Li234, kw: _Li234) -> float:
+    li2x, li3x, li4x = kx
+    li2u, li3u, li4u = ku
+    li2w, li3w, li4w = kw
     return (
         -4.0
         + 24.0 * x
@@ -348,6 +347,41 @@ def _anti_log_squares(x: float) -> float:
     )
 
 
+def _anti_li4_landen(t: float) -> float:
+    return _li4_landen(t, math.log1p(-t), *_li234(t / (t - 1.0)))
+
+
+def _anti_li2_squared(t: float) -> float:
+    return _li2_squared(t, math.log(t), math.log1p(-t), polylog(2, t), polylog(3, 1.0 - t))
+
+
+def _anti_log_squares(x: float) -> float:
+    kernel = _li234(x), _li234(1.0 - x), _li234(x / (x - 1.0))
+    return _log_squares(x, math.log(x), math.log1p(-x), *kernel)
+
+
+def _t_displays(x: float) -> tuple[float, float, float, float]:
+    # The three antiderivatives and the frak_I variant (+2 ln(t) Li_3(t)), one per row.
+    lx, lu = math.log(x), math.log1p(-x)
+    kx, ku, kw = _li234(x), _li234(1.0 - x), _li234(x / (x - 1.0))
+    return (
+        _li4_landen(x, lu, *kw),
+        _li2_squared(x, lx, lu, kx[0], ku[1]),
+        _log_squares(x, lx, lu, kx, ku, kw),
+        _frak_I(lx, lu, kx, ku, kw) + 4.0 * lx * kx[1],
+    )
+
+
+def _z_displays(z: float) -> tuple[float, float, float, float, float]:
+    # int P1, int P2 and the eta = 3 display with Li_1, Li_2, Li_3, for z in (-1, 1).
+    t, u = 0.5 * (1.0 + z), 0.5 * (1.0 - z)
+    lt, lu = math.log(t), math.log(u)
+    li2t, li3t, _ = _li234(t)
+    head = _int_p3_head(z, lt, li2t, li3t)
+    int3 = [_int_p3(z, head, lt, lu, li) for li in (polylog(1, t), li2t, li3t)]
+    return _int_p1(z, lt), _int_p2(z, lt, polylog(2, u)), *int3
+
+
 def _frak_integrand(t: float) -> float:
     # ln(t) Li_2(t) / (1 - t), whose antiderivative is frak_I
     return math.log(t) * polylog(2, t) / (1.0 - t)
@@ -356,28 +390,26 @@ def _frak_integrand(t: float) -> float:
 def check_appendix_a(
     tol_overrides: Mapping[str, float] | None = None, seed: int = DEFAULT_SEED
 ) -> list[CheckResult]:
-    """Differentiate-and-compare checks for the first integrals and the three
-    long antiderivative displays, plus the inner-integral cancellation."""
+    """Differentiate-and-compare checks for the first integrals and the three long
+    antiderivative displays, plus the inner-integral cancellation.  Rows that share
+    stencil points take one ``_z_displays`` or ``_t_displays`` call per point."""
     tols = resolve_tolerances(tol_overrides)
     rng = random.Random(seed)
     zs = [rng.uniform(-0.9, 0.97) for _ in range(50)]
     ts = [rng.uniform(0.05, 0.95) for _ in range(50)]
     results = []
 
+    # Against P1, P2, P3, P3, P3 from p_derivs, which is p_deriv bit for bit.
+    z_slopes = [_slopes(_z_displays, z) for z in zs]
+    z_targets = [p_derivs(z) for z in zs]
     for eta in (1, 2):
-        devs = [
-            abs(_derivative(lambda zz: first_integral(eta, zz), z) - p_deriv(eta, z))
-            for z in zs
-        ]
+        devs = [abs(s[eta - 1] - p[eta]) for s, p in zip(z_slopes, z_targets)]
         results.append(_result(f"first-integral-{eta}", devs, 1.0, tols, "first_integral"))
 
     # The eta = 3 display: try each candidate order for its ambiguous
     # polylogarithm and report the measured derivative defect (report-only).
     for order in (1, 2, 3):
-        offsets = [
-            _derivative(lambda zz: first_integral(3, zz, li_order=order), z) - p_deriv(3, z)
-            for z in zs
-        ]
+        offsets = [s[order + 1] - p[3] for s, p in zip(z_slopes, z_targets)]
         devs = [abs(v) for v in offsets]
         spread = max(offsets) - min(offsets)
         if order == 2:
@@ -388,28 +420,17 @@ def check_appendix_a(
             )
         else:
             note = f"order Li_{order}: z-dependent mismatch (spread {spread:.2e})"
-        results.append(
-            _result(
-                f"first-integral-3-li{order}",
-                devs,
-                1.0,
-                tols,
-                "first_integral",
-                note=note,
-                required=False,
-            )
-        )
+        row = f"first-integral-3-li{order}"
+        results.append(_result(row, devs, 1.0, tols, "first_integral", note=note, required=False))
 
+    t_slopes = [_slopes(_t_displays, x) for x in ts]
     anti_rows = (
-        ("antiderivative-li4-landen", _anti_li4_landen,
-         lambda x: polylog(4, x / (x - 1.0)), True),
-        ("antiderivative-li2-squared", _anti_li2_squared,
-         lambda x: polylog(2, x) ** 2, False),
-        ("antiderivative-log-squares", _anti_log_squares,
-         lambda x: (math.log(x) * math.log1p(-x)) ** 2, True),
+        ("antiderivative-li4-landen", lambda x: polylog(4, x / (x - 1.0)), True),
+        ("antiderivative-li2-squared", lambda x: polylog(2, x) ** 2, False),
+        ("antiderivative-log-squares", lambda x: (math.log(x) * math.log1p(-x)) ** 2, True),
     )
-    for name, form, target, required in anti_rows:
-        devs = [abs(_derivative(form, x) - target(x)) for x in ts]
+    for k, (name, target, required) in enumerate(anti_rows):
+        devs = [abs(slopes[k] - target(x)) for slopes, x in zip(t_slopes, ts)]
         results.append(_result(name, devs, 1.0, tols, "antiderivative", required=required))
 
     def integrand(zz: float) -> float:
@@ -432,10 +453,7 @@ def check_appendix_a(
     # Report-only: the antiderivative display variant whose 2 ln(t) Li_3(t)
     # term carries a plus sign is NOT an antiderivative of the integrand;
     # its derivative defect is 4 d/dt[ln(t) Li_3(t)].  Measured, not hidden.
-    def variant(x: float) -> float:
-        return frak_I(x) + 4.0 * math.log(x) * polylog(3, x)
-
-    devs = [abs(_derivative(variant, x) - _frak_integrand(x)) for x in ts]
+    devs = [abs(slopes[3] - _frak_integrand(x)) for slopes, x in zip(t_slopes, ts)]
     results.append(
         _result(
             "frak-I-display-variant",

@@ -1,6 +1,7 @@
 """Oracle tests: nu-differentiation of the hypergeometric series, ODE residual."""
 
 import math
+import random
 
 import mpmath as mp
 import numpy as np
@@ -21,6 +22,29 @@ MPMATH_POINTS = (
     (math.nextafter(-0.9, 0.0), -0.9 + 1e-12, -0.899, -0.85, -0.5, 0.0, 0.5, 0.9, 0.99)
     + tuple(1.0 - 10.0**-k for k in range(1, 16))
 )
+
+
+def _list_loop(z, max_terms=100_000):
+    # The reference: the nu-Taylor loop with the term and the sum held as lists.
+    x = 0.5 * (1.0 - z)
+    term = [1.0, 0.0, 0.0, 0.0, 0.0]
+    total = list(term)
+    tiny_streak = 0
+    for k in range(max_terms):
+        kk = k * (k + 1.0)
+        scale = x / ((k + 1.0) * (k + 1.0))
+        term = [
+            scale * (kk * c - c1 - c2)
+            for c, c1, c2 in zip(term, [0.0] + term[:4], [0.0, 0.0] + term[:3])
+        ]
+        total = [s + c for s, c in zip(total, term)]
+        if all(abs(c) <= 1e-17 * abs(s) + 1e-300 for c, s in zip(term, total)):
+            tiny_streak += 1
+            if tiny_streak >= 2:
+                return tuple(f * s for f, s in zip((1.0, 1.0, 2.0, 6.0, 24.0), total))
+        else:
+            tiny_streak = 0
+    raise ConvergenceError(f"no convergence in {max_terms} terms")
 
 
 class TestOrderDerivativeFD:
@@ -61,6 +85,34 @@ class TestOrderDerivativeFD:
             with mp.workdps(30):
                 reference = mp.legenp(nu, 0, mp.mpf(z), type=2)
             assert taylor == pytest.approx(float(reference), abs=1e-9), z
+
+    def test_scalar_loop_keeps_the_list_loop_bits(self):
+        rng = random.Random(2016)
+        zs = [rng.uniform(-0.9, 1.0) for _ in range(200)]
+        zs += [math.nextafter(-0.9, 0.0), -0.5, 0.0, 0.3, 1.0]
+        for z in zs:
+            assert [v.hex() for v in order_derivatives(z)] == [v.hex() for v in _list_loop(z)], z
+
+    @pytest.mark.parametrize("z", [-0.85, 0.3, 0.99])
+    def test_term_cap_is_the_list_loops(self, z):
+        # the least cap that converges, found on the reference by bisection, is
+        # the scalar loop's too: one term fewer raises ConvergenceError
+        def converges(cap):
+            try:
+                _list_loop(z, cap)
+            except ConvergenceError:
+                return False
+            return True
+
+        lo, hi = 1, 4096  # converges(hi), not converges(lo)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if converges(mid) else (mid, hi)
+        assert order_derivatives(z, max_terms=hi) == _list_loop(z, hi)
+        with pytest.raises(ConvergenceError):
+            order_derivatives(z, max_terms=lo)
+        with pytest.raises(ConvergenceError):
+            order_derivatives(z, max_terms=1)
 
     def test_domain(self):
         for z in (-0.9, 1.1, float("nan")):

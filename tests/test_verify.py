@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from legderiv import (
     check_closed_forms,
     check_identities,
     check_quadrature_recurrence,
+    first_integral,
     frak_I,
     integrate,
     p_deriv,
@@ -366,6 +368,71 @@ class TestDerivative:
 
         exact = 12.0 * x**3 - 6.0 * x**2 + 2.0 * x - 5.0
         assert _derivative(quartic, x) == pytest.approx(exact, rel=1e-8)
+
+
+# Each family member's own scalar display, in the family's order.
+T_DISPLAYS = (
+    verify._anti_li4_landen,
+    verify._anti_li2_squared,
+    verify._anti_log_squares,
+    lambda x: frak_I(x) + 4.0 * math.log(x) * polylog(3, x),  # the frak_I display variant
+)
+Z_DISPLAYS = (
+    lambda z: first_integral(1, z),
+    lambda z: first_integral(2, z),
+) + tuple(lambda z, order=order: first_integral(3, z, li_order=order) for order in (1, 2, 3))
+
+
+def _family_points(lo, hi, ends):
+    rng = random.Random(1604)
+    return [rng.uniform(lo, hi) for _ in range(60)] + list(ends)
+
+
+# t = 1/2 puts t/(t - 1) at -1, where inversion starts; a stencil (h = 5e-6) about a
+# point within 1e-5 of 1/2 straddles it.
+T_POINTS = _family_points(0.05, 0.95, (0.05, 0.95, 0.5, 0.5 + 7e-6, 0.5 - 3e-6)) + [
+    math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)
+]
+Z_POINTS = _family_points(-0.9, 0.97, (-0.9, 0.97, 0.0, -1e-5, 0.5))
+
+
+class TestDisplayFamilies:
+    """One evaluation per stencil point for each family of check_appendix_a's rows."""
+
+    @pytest.mark.parametrize(
+        "family,displays,points",
+        [(verify._t_displays, T_DISPLAYS, T_POINTS), (verify._z_displays, Z_DISPLAYS, Z_POINTS)],
+        ids=["t", "z"],
+    )
+    def test_components_and_slopes_are_the_rows_bits(self, family, displays, points):
+        for x in points:
+            assert [v.hex() for v in family(x)] == [f(x).hex() for f in displays], x
+            slopes = verify._slopes(family, x)
+            assert [v.hex() for v in slopes] == [_derivative(f, x).hex() for f in displays], x
+
+    @pytest.mark.parametrize("seed", [verify.DEFAULT_SEED, 6007])
+    def test_families_keep_report_bits(self, monkeypatch, seed):
+        # with each row's own scalar display in place of the shared evaluation,
+        # the report keeps every byte
+        shared = run_suite(seed=seed).to_json()
+        monkeypatch.setattr(verify, "_t_displays", lambda x: tuple(f(x) for f in T_DISPLAYS))
+        monkeypatch.setattr(verify, "_z_displays", lambda z: tuple(f(z) for f in Z_DISPLAYS))
+        assert run_suite(seed=seed).to_json() == shared
+
+    def test_one_kernel_pass_per_shared_argument(self, monkeypatch):
+        # three fused passes per t-point and one per z-point, and no single-order
+        # Li_2..Li_4 call beside them but Li_2(u) of the z family
+        calls = []
+        li234 = verify._li234
+        monkeypatch.setattr(verify, "_li234", lambda x: calls.append("li234") or li234(x))
+        monkeypatch.setattr(
+            verify, "polylog", lambda s, x: calls.append(f"li{s}") or polylog(s, x)
+        )
+        verify._t_displays(0.3)
+        assert calls == ["li234"] * 3
+        calls.clear()
+        verify._z_displays(0.3)
+        assert sorted(calls) == ["li1", "li2", "li234"]
 
 
 class TestCheckResultType:
