@@ -3,8 +3,8 @@
 Closed forms for Pn(z) = [d^n P_nu(z)/d nu^n]_{nu=0}, n = 0..4, built on a
 real-argument polylogarithm/trigamma kernel, together with the numerical
 machinery (an exact nu-Taylor pass over the hypergeometric series as the
-oracle, finite differences in z, adaptive quadrature) and a verification
-harness that cross-checks every closed form against an independent route.
+oracle, adaptive quadrature) and a verification harness that cross-checks
+every closed form against an independent route.
 """
 
 from .exceptions import ConvergenceError, DomainError

@@ -8,21 +8,21 @@ with x = (1-z)/2, exactly in nu at nu = 0: each c_k is a polynomial in nu,
 so carrying it as its Taylor coefficients through nu^4 (Taylor-mode
 differentiation) gives P0..P4 in one pass, with no step size.
 ``ode_residual`` checks the differential relation of ``p_deriv``,
-d/dz[(1-z^2) Pn'] = -n P_{n-1} - n(n-1) P_{n-2}, integrated from z to 1:
+d/dz[(1-z^2) Pn'] = -n P_{n-1} - n(n-1) P_{n-2}, integrated twice from z
+to 1.  The boundary term (1-z^2) Pn' vanishes at z = 1 because Pn' is
+finite there, and Pn(1) = 0 for n >= 1, so by parts
 
-    (1-z^2) Pn'(z) = int_z^1 [n P_{n-1} + n(n-1) P_{n-2}] dz'.
+    (1-z^2) Pn(z) = int_z^1 [2s Pn(s) - (s-z)(n P_{n-1}(s) + n(n-1) P_{n-2}(s))] ds,
 
-The boundary term (1-z^2) Pn' vanishes at z = 1 because Pn' is finite there.
+which takes no derivative: nothing in this module has a step size.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-from typing import Callable
 
 from .exceptions import ConvergenceError, DomainError
-from .orderderiv import p_deriv
+from .orderderiv import p_derivs
 from .polylog import as_order
 from .quadrature import integrate
 
@@ -76,27 +76,19 @@ def order_derivatives(
     )
 
 
-def _five_point(fn: Callable[[float], tuple[float, ...]], x: float, h: float) -> tuple[float, ...]:
-    # Fourth-order central first difference of each component of fn, on x +- h, x +- 2h.
-    points = fn(x + h), fn(x - h), fn(x + 2.0 * h), fn(x - 2.0 * h)
-    return tuple((8.0 * (a - b) - (c - d)) / (12.0 * h) for a, b, c, d in zip(*points))
+def ode_residual(n: int, z: float) -> float:
+    """|(1-z^2) Pn(z) - int_z^1 [2s Pn - (s-z)(n P_{n-1} + n(n-1) P_{n-2})] ds|.
 
-
-def ode_residual(n: int, z: float, dz: float) -> float:
-    """|(1-z^2) Pn'(z) - int_z^1 [n P_{n-1} + n(n-1) P_{n-2}]| with Pn' at step dz.
-
-    The recurrence integrated from z to 1, where (1-z^2) Pn' vanishes as Pn'
-    is finite: one first difference (roundoff eps/dz) and one ``integrate``.
+    The recurrence integrated twice from z in (-1, 1) to 1: one ``integrate``
+    at tol 1e-12, with P_{n-2}, P_{n-1} and Pn from one ``p_derivs`` per node.
     """
     n = as_order(n, 1, 4, "derivative order")
-    # dz >= ~4e-155 keeps the stencil's quotient by 12 dz far from overflow.
-    if not (dz > 0.0 and 12.0 * dz * dz >= sys.float_info.min):
-        raise DomainError(f"dz must be positive and 12 dz^2 must not underflow, got {dz!r}")
-    if not (-1.0 < z - 2.0 * dz and z + 2.0 * dz <= 1.0):
-        raise DomainError(f"z +/- 2dz must stay inside (-1, 1], got z={z!r}, dz={dz!r}")
+    if not -1.0 < z < 1.0:
+        raise DomainError(f"ode_residual expects z in (-1, 1), got {z!r}")
 
-    def source(x: float) -> float:
-        return n * p_deriv(n - 1, x) + n * (n - 1) * p_deriv(max(n - 2, 0), x)  # zero at n = 1
+    def integrand(s: float) -> float:
+        p = p_derivs(s)
+        # the P_{n-2} term is zero at n = 1
+        return 2.0 * s * p[n] - (s - z) * (n * p[n - 1] + n * (n - 1) * p[max(n - 2, 0)])
 
-    lhs = (1.0 - z * z) * _five_point(lambda x: (p_deriv(n, x),), z, dz)[0]
-    return abs(lhs - integrate(source, z, 1.0, tol=1e-13).value)
+    return abs((1.0 - z * z) * p_derivs(z)[n] - integrate(integrand, z, 1.0, tol=1e-12).value)
