@@ -9,19 +9,21 @@ n = 0..4, with t = (1+z)/2 and u = (1-z)/2.  The paper's closed forms are
     P3 = 12 Li_3(t) - 6 ln(t) Li_2(t) - pi^2 ln(t) - 12 zeta(3)
     P4 = pi^4/15 + 24 [ ... ]          (grouped bracket, see _closed_form)
 
-P0..P2 are evaluated from them.  P3 and P4 are one Horner pass over tables
+P0 and P1 are evaluated from them.  P2..P4 are one Horner pass over tables
 fixed at import, split at z = 0: on z >= 0 the series in u of
 P_nu = F(-nu, nu+1; 1; u), whose nu^n coefficients have one sign, so nothing
-cancels as z -> 1; on z < 0 Pn = sum_k (A_k + B_k ln t) t^k (DLMF 15.8.10).
-All 80 rows of each are re-expanded about the midpoint of each 1/8-wide piece
-of [0, 1/2] and cut once, on the piece, by ``polylog._recentred``; rows per
-piece, from u or t = 0 up:
+cancels as z -> 1 (for P2 that is the Li_2 series polylog runs); on z < 0
+Pn = sum_k (A_k + B_k ln t) t^k (DLMF 15.8.10).  All 80 rows of each are
+re-expanded about the midpoint of each 1/8-wide piece of [0, 1/2] and cut
+once, on the piece, by ``polylog._recentred``; rows per piece, from u or t = 0 up:
 
     U (Pn/u^2)   n = 3: 14/15/16/18   n = 4: 14/14/15/16
-    A and B      n = 3: 14/14/15/16   n = 4: 16/16/17/19
+    A and B      n = 2: 15/15/16/17   n = 3: 14/14/15/16   n = 4: 16/16/17/19
 
 ``polylog._piece`` picks the piece.  ``p_derivs(z)`` gives P0..P4 at one z
-from one Horner loop over one piece's tables side by side.
+from one Horner loop over one piece's tables side by side, and ``p_deriv(n, z)``
+is its element n.  The closed forms stay as ``_closed_form``, which the
+verification suite compares with the tables.
 
 The module also carries every intermediate closed form the P4 derivation
 runs through: the inner integral I(z) = (1+z) P3(z), the antiderivative
@@ -39,7 +41,7 @@ from __future__ import annotations
 import math
 
 from .exceptions import DomainError
-from .polylog import _MIDPOINTS, _SERIES_PIECES, _Li234, _horner, _li234, _piece, _recentred
+from .polylog import _MIDPOINTS, _SERIES_PIECES, _Li234, _li234, _piece, _recentred
 from .polylog import _rows, as_order, polylog, zeta_const
 
 __all__ = [
@@ -76,24 +78,30 @@ def _nu_tables() -> dict[int, dict[int, tuple[tuple[float, ...], ...]]]:
         a.append([-(prev[i + 2] / k + prev[i + 1] / k**2 + prev[i] * d2) for i in range(5)])
         zeta3 -= 1.0 / k**3
     tables = {}
-    for n in (3, 4):
+    for n in (2, 3, 4):
         # Highest power first.  Pn / u^2 on z >= 0: c_0 = 1 only feeds P0, c_1 = 0 for
-        # n >= 3, and without the u^2 the first piece would cancel as u -> 0.
+        # n >= 3, and without the u^2 the first piece would cancel as u -> 0.  P2 / u^2
+        # is no power series (P2 = -2 Li_2(u)), so n = 2 has an empty U table.
         un, an, bn = (
             tuple(math.factorial(n) * row[n] for row in rows[::-1]) for rows in (c[2:], a, b)
         )
-        tables[n] = {i: _recentred(i, un) + _recentred(i, an, bn) for i in range(8, 12)}
+        tables[n] = {
+            i: (_recentred(i, un) if n > 2 else ((),)) + _recentred(i, an, bn)
+            for i in range(8, 12)
+        }
     return tables
 
 
 _NU_TABLES = _nu_tables()
 # p_derivs' rows per piece of [0, 1/2]: (Li_2 series, U3, U4) on z >= 0 and
-# (A3, B3, A4, B4) on z < 0.  The Li_2 column is the table polylog(2, u) runs
-# on the same piece, so P2 keeps polylog's bits.
+# (A2, B2, A3, B3, A4, B4) on z < 0.  The Li_2 column is the table polylog(2, u)
+# runs on the same piece, so P2 on z >= 0 keeps polylog's bits.
 _U_ROWS = {
     i: _rows(_SERIES_PIECES[2][i], _NU_TABLES[3][i][0], _NU_TABLES[4][i][0]) for i in range(8, 12)
 }
-_T_ROWS = {i: _rows(*(_NU_TABLES[n][i][j] for n in (3, 4) for j in (1, 2))) for i in range(8, 12)}
+_T_ROWS = {
+    i: _rows(*(_NU_TABLES[n][i][j] for n in (2, 3, 4) for j in (1, 2))) for i in range(8, 12)
+}
 
 
 def _check_z(n: int, z: float) -> float:
@@ -114,38 +122,27 @@ def _check_z(n: int, z: float) -> float:
 def p_deriv(n: int, z: float) -> float:
     """Order-derivative Pn(z) for n in 0..4, z in (-1, 1] (open at -1).
 
-    P0..P2 from the closed forms, P3 and P4 from the u^2-factored u-series table
-    on z >= 0 and the (A_k + B_k ln t) t-series tables on z < 0, each re-expanded
-    about the midpoint of the 1/8-wide piece that holds u or t: within 1e-15
-    relative on z >= 0 and 1e-14 on z < 0.  Pn(1) is exactly 0 for n >= 1, 1 for
-    n = 0.
+    Element n of p_derivs(z), so one order costs a full row; P0 = 1 also at
+    z = -1.  Within 1e-15 relative on z >= 0 and for P1 and P2 on z < 0, and
+    1e-14 for P3 and P4 on z < 0.  Pn(1) is exactly 0 for n >= 1.
     """
     n = as_order(n, 0, 4, "derivative order")
     z = _check_z(n, z)
-    if n < 3:
-        return _closed_form(n, z)
-    if z >= 0.0:
-        u = 0.5 * (1.0 - z)
-        i = _piece(u)
-        return u * u * _horner(_NU_TABLES[n][i][0], u - _MIDPOINTS[i]) + 0.0
-    t = 0.5 * (1.0 + z)
-    i = _piece(t)
-    _, a_table, b_table = _NU_TABLES[n][i]
-    h = t - _MIDPOINTS[i]
-    return _horner(a_table, h) + math.log(t) * _horner(b_table, h)
+    return 1.0 if n == 0 else p_derivs(z)[n]
 
 
 def p_derivs(z: float) -> tuple[float, float, float, float, float]:
     """All five order-derivatives (P0, P1, P2, P3, P4) at one z in (-1, 1].
 
-    One domain check and one Horner pass over the rows of the piece that holds
-    u or t: (Li_2 series, U3, U4) on z >= 0, (A3, B3, A4, B4) on z < 0, where P2
-    is -2 Li_2(u) and ln t is shared by P1, P3 and P4.  Element n equals
-    p_deriv(n, z) bit for bit.
+    P0 = 1 and P1 = ln t in closed form; P2..P4 from one Horner pass over the
+    rows of the piece that holds u or t: (Li_2 series, U3, U4) on z >= 0, where
+    P2 is -2 Li_2(u), and (A2, B2, A3, B3, A4, B4) on z < 0, where Pn = An + Bn ln t
+    with one ln t.  Within 1e-15 relative on z >= 0 and for P1 and P2 on z < 0,
+    and 1e-14 for P3 and P4 on z < 0.
     """
     z = _check_z(1, z)
-    u = 0.5 * (1.0 - z)
     if z >= 0.0:
+        u = 0.5 * (1.0 - z)
         i = _piece(u)
         h = u - _MIDPOINTS[i]
         p2 = p3 = p4 = 0.0
@@ -153,29 +150,30 @@ def p_derivs(z: float) -> tuple[float, float, float, float, float]:
             p2 = p2 * h + c2
             p3 = p3 * h + c3
             p4 = p4 * h + c4
-        return 1.0, _closed_form(1, z), -2.0 * (u * p2) + 0.0, u * u * p3 + 0.0, u * u * p4 + 0.0
+        # + 0.0 turns -0.0 into +0.0 at z = 1
+        return 1.0, math.log1p(-u) + 0.0, -2.0 * (u * p2) + 0.0, u * u * p3 + 0.0, u * u * p4 + 0.0
     t = 0.5 * (1.0 + z)
     i = _piece(t)
     h = t - _MIDPOINTS[i]
-    a3 = b3 = a4 = b4 = 0.0
-    for ca3, cb3, ca4, cb4 in _T_ROWS[i]:
+    a2 = b2 = a3 = b3 = a4 = b4 = 0.0
+    for ca2, cb2, ca3, cb3, ca4, cb4 in _T_ROWS[i]:
+        a2 = a2 * h + ca2
+        b2 = b2 * h + cb2
         a3 = a3 * h + ca3
         b3 = b3 * h + cb3
         a4 = a4 * h + ca4
         b4 = b4 * h + cb4
     lt = math.log(t)
-    return 1.0, lt, -2.0 * polylog(2, u) + 0.0, a3 + lt * b3, a4 + lt * b4
+    return 1.0, lt, a2 + lt * b2, a3 + lt * b3, a4 + lt * b4
 
 
 def _closed_form(n: int, z: float) -> float:
-    """The paper's closed form of Pn(z), for n and z checked by p_deriv.
+    """The paper's closed form of Pn(z), n = 1..4, for z checked as p_deriv does.
 
     The P4 integration constants are pinned by P4(1) = 0: the coefficient
     of ln((1+z)/(1-z)) must vanish for P4 to stay finite at z = 1, which
     leaves only the additive constant pi^4/15.
     """
-    if n == 0:
-        return 1.0
     t = 0.5 * (1.0 + z)
     u = 0.5 * (1.0 - z)  # 1 - t without cancellation
     if n == 1:

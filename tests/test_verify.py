@@ -86,9 +86,9 @@ class TestSuite:
     @pytest.mark.parametrize(
         "seed,sha256",
         [
-            (20140412, "74a95126683a1f062a60ffd97d634bb6d671512d0b6244ccaff323aa555a3046"),
-            (2718, "ab493d6f2b9b412c986c9c3964d0d34d7e2c7c2727a8c43c4b6c658e0bb5969e"),
-            (6113, "56d9bced1d0e5dd0d6b0a10677385dce7c480c5ce7fbe7fddf30ae01be715612"),
+            (20140412, "125a6299f3323cbc607c11caea80303cc0c6dcf46aaea615c6b51318bfc40056"),
+            (2718, "64924c7950dd09856e7fb6595a053b69ead56ae1853840c4577b86262fc9759f"),
+            (6113, "fb1085eb23cb7072bda5c34007eb45542772471081d294faf48e23402859894e"),
         ],
         ids=["20140412", "2718", "6113"],
     )
