@@ -8,7 +8,7 @@ every closed form against an independent route.
 """
 
 from .exceptions import ConvergenceError, DomainError
-from .oracle import ode_residual, order_derivatives
+from .oracle import ode_residuals, order_derivatives
 from .orderderiv import (
     dilog_landen,
     dilog_reflection,
@@ -57,7 +57,7 @@ __all__ = [
     "dilog_landen",
     "trilog_identity",
     "order_derivatives",
-    "ode_residual",
+    "ode_residuals",
     "integrate",
     "check_closed_forms",
     "check_quadrature_recurrence",

@@ -7,14 +7,15 @@
 with x = (1-z)/2, exactly in nu at nu = 0: each c_k is a polynomial in nu,
 so carrying it as its Taylor coefficients through nu^4 (Taylor-mode
 differentiation) gives P0..P4 in one pass, with no step size.
-``ode_residual`` checks the differential relation of ``p_deriv``,
+``ode_residuals`` checks the differential relation of ``p_derivs``,
 d/dz[(1-z^2) Pn'] = -n P_{n-1} - n(n-1) P_{n-2}, integrated twice from z
 to 1.  The boundary term (1-z^2) Pn' vanishes at z = 1 because Pn' is
 finite there, and Pn(1) = 0 for n >= 1, so by parts
 
     (1-z^2) Pn(z) = int_z^1 [2s Pn(s) - (s-z)(n P_{n-1}(s) + n(n-1) P_{n-2}(s))] ds,
 
-which takes no derivative: nothing in this module has a step size.
+which takes no derivative: nothing in this module has a step size.  The
+four orders share one quadrature over [z, 1] and one ``p_derivs`` per node.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import math
 from .exceptions import ConvergenceError, DomainError
 from .orderderiv import p_derivs
 from .polylog import as_order
-from .quadrature import integrate
+from .quadrature import _integrate
 
-__all__ = ["order_derivatives", "ode_residual"]
+__all__ = ["order_derivatives", "ode_residuals"]
 
 _SERIES_CAP = 100_000
 _Z_FLOOR = -0.9  # series ratio (1-z)/2 reaches 0.95 here; trust ends
@@ -76,19 +77,21 @@ def order_derivatives(
     )
 
 
-def ode_residual(n: int, z: float) -> float:
-    """|(1-z^2) Pn(z) - int_z^1 [2s Pn - (s-z)(n P_{n-1} + n(n-1) P_{n-2})] ds|.
+def ode_residuals(z: float) -> tuple[float, float, float, float]:
+    """|(1-z^2) Pn(z) - int_z^1 [2s Pn - (s-z)(n P_{n-1} + n(n-1) P_{n-2})] ds|, n = 1..4.
 
-    The recurrence integrated twice from z in (-1, 1) to 1: one ``integrate``
-    at tol 1e-12, with P_{n-2}, P_{n-1} and Pn from one ``p_derivs`` per node.
+    The recurrence integrated twice from z in (-1, 1) to 1: one refinement
+    at tol 1e-12 that every order meets, with P0..P4 from one ``p_derivs``
+    per node.
     """
-    n = as_order(n, 1, 4, "derivative order")
     if not -1.0 < z < 1.0:
-        raise DomainError(f"ode_residual expects z in (-1, 1), got {z!r}")
+        raise DomainError(f"ode_residuals expects z in (-1, 1), got {z!r}")
 
-    def integrand(s: float) -> float:
-        p = p_derivs(s)
-        # the P_{n-2} term is zero at n = 1
-        return 2.0 * s * p[n] - (s - z) * (n * p[n - 1] + n * (n - 1) * p[max(n - 2, 0)])
+    def integrands(s: float) -> tuple[float, float, float, float]:
+        p0, p1, p2, p3, p4 = p_derivs(s)
+        two_s, d = 2.0 * s, s - z
+        return (two_s * p1 - d * p0, two_s * p2 - d * (2 * p1 + 2 * p0),
+                two_s * p3 - d * (3 * p2 + 6 * p1), two_s * p4 - d * (4 * p3 + 12 * p2))
 
-    return abs((1.0 - z * z) * p_derivs(z)[n] - integrate(integrand, z, 1.0, tol=1e-12).value)
+    integrals = _integrate(lambda xs: zip(*map(integrands, xs)), z, 1.0, tol=1e-12)[0]
+    return tuple(abs((1.0 - z * z) * pn - q) for pn, q in zip(p_derivs(z)[1:], integrals))

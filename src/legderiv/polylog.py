@@ -24,8 +24,9 @@ Evaluation regions for Li_s(x), x <= 1:
 * ``x = 1``           zeta(s) (s >= 2; Li_1(1) diverges)
 * ``x < -1``          real inversion identities in terms of Li_s(1/x), 1/x on a piece
 
-Every series, and trigamma's asymptotic tail, is one Horner pass over a
-table fixed at import; nothing tests for convergence at run time.  Every
+Every series, and the asymptotic tail of the Hurwitz zeta(s, x) kernel
+that trigamma is the s = 2 case of, is one Horner pass over a table fixed
+at import; nothing tests for convergence at run time.  Every
 series table, orderderiv's nu-tables too, is sized in one step
 (``_recentred``): its uncut source is re-expanded about the midpoint of its
 1/8-wide piece, and the rows are kept up to the last whose bound on the piece
@@ -320,33 +321,39 @@ def polylog(s: int, x: float) -> float:
     return _li(s, x)
 
 
-# --- trigamma -------------------------------------------------------------
+# --- trigamma and the Hurwitz zeta tails ----------------------------------
 
-# Psi'(x) ~ 1/x + 1/(2x^2) + sum_j B_2j / x^(2j+1); truncating after B_12
-# leaves |error| < |B_14| / x^15 < 4e-20 once x >= 20.
-_TRIGAMMA_SHIFT = 20.0
+# zeta(s, x) ~ x^(1-s)/(s-1) + x^-s/2 + sum_m B_2m (s)_(2m-1)/(2m)! x^(1-s-2m)
+# (DLMF 25.11.43), with (s)_(2m-1)/(2m)! = C(2m+s-2, s-1)/(2m), which is 1 at
+# s = 2.  Truncating after B_12 leaves a relative error below 7.1e-19 (s = 2)
+# up to 4.8e-16 (s = 5) once x >= 20.
+_ZETA_SHIFT = 20.0
 _TRIGAMMA_MAX = sys.float_info.max
-_TRIGAMMA_COEFFS = _BERNOULLI[5::-1]  # B_12..B_2, highest order first
+_ZETA_ROWS = {  # per s, m = 6..1: highest order first
+    s: tuple(_BERNOULLI[m - 1] * (math.comb(2 * m + s - 2, s - 1) / (2 * m)) for m in range(6, 0, -1))
+    for s in (2, 3, 4, 5)
+}
 
 
-def _trigamma_asymptotic(x: float) -> float:
+def _zeta_tail(s: int, x: float) -> float:
+    """Hurwitz zeta(s, x) = sum_{j>=0} 1/(x+j)^s, s in 2..5, integer-valued x >= 1:
+    zeta(s, x+1) + 1/x^s shifts x to >= 20, where the asymptotic expansion runs."""
+    total = 0.0
+    while x < _ZETA_SHIFT:
+        total += 1.0 / x**s
+        x += 1.0
     inv = 1.0 / x
     inv2 = inv * inv
-    return inv + 0.5 * inv2 + inv * inv2 * _horner(_TRIGAMMA_COEFFS, inv2)
+    lead = inv ** (s - 1)
+    return total + (lead / (s - 1) + 0.5 * lead * inv + lead * inv2 * _horner(_ZETA_ROWS[s], inv2))
 
 
 def trigamma(k: int) -> float:
     """Trigamma Psi'(k) = sum_{j>=0} 1/(k+j)^2 for integer k >= 1.
 
     Accepts any integer-like type but bool, up to the largest k that
-    converts to a finite float.  Recurrence Psi'(k) = Psi'(k+1) + 1/k^2
-    shifts the argument to >= 20, where the asymptotic expansion runs.
-    Within 1e-15 relative (at most 2.2e-16 against mpmath over k = 1..199,
-    300 random k <= 10^6, k = 10^6..10^300 and k = 2^1023).
+    converts to a finite float.  The s = 2 case of the Hurwitz zeta(s, k)
+    kernel, ``_zeta_tail``.  Within 1e-15 relative (at most 2.2e-16 against
+    mpmath over k = 1..199, 300 random k <= 10^6, k = 10^6..10^300, 2^1023).
     """
-    x = float(as_order(k, 1, _TRIGAMMA_MAX, "trigamma argument"))
-    total = 0.0
-    while x < _TRIGAMMA_SHIFT:
-        total += 1.0 / (x * x)
-        x += 1.0
-    return total + _trigamma_asymptotic(x)
+    return _zeta_tail(2, float(as_order(k, 1, _TRIGAMMA_MAX, "trigamma argument")))

@@ -5,9 +5,14 @@ panel with the largest error estimate is split until the summed estimate
 drops below the requested tolerance.  All nodes are interior, so
 integrands only ever see the open interval.
 
+One loop (``_integrate``) refines integrands of any number of components
+on shared nodes; a panel's error is its components' largest, so every
+component meets the tolerance.  ``integrate`` is its one-component call.
+
 Endpoints flagged as singular (integrable, logarithmic-type) get a cubic
 stretching x = a + (b-a) s^3 first, which turns ln-type behaviour into a
-bounded s^2 ln(s) profile the panel rule converges on quickly.
+bounded s^2 ln(s) profile the panel rule converges on quickly; it moves
+the nodes and scales the integrand's values by dx/ds.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from operator import mul
+from typing import Callable, Iterable, Sequence
 
 from .exceptions import ConvergenceError, DomainError
 from .polylog import as_order
@@ -34,6 +40,10 @@ _GK15 = (
     (0.949107912342758525, 0.129484966168869693, 0.0630920926299785533),
     (0.991455371120812639, 0.0, 0.022935322010529225),
 )
+
+# The 15 signed nodes with their Gauss and Kronrod weights.
+_SIGNED = [(sg * x, wg, wk) for x, wg, wk in _GK15 for sg in ((1.0, -1.0) if x else (1.0,))]
+_NODES, _WG, _WK = zip(*_SIGNED)
 
 _DEFAULT_TOL = 1e-10
 _MIN_TOL = 1e-13
@@ -57,66 +67,104 @@ class QuadResult:
     subdivisions: int
 
 
-def _gk15_panel(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """Gauss-Kronrod 7/15 on [lo, hi]; returns (kronrod, |kronrod - gauss|).
+# (base, width, cubic): s in (0, 1) maps to x = base + width s, or width s^3 if cubic.
+_Chart = tuple[float, float, bool]
 
-    Raises ConvergenceError when either is not finite.
+
+def _gk15_panel(
+    columns: Callable[[list[float]], Iterable[Sequence[float]]], chart: _Chart, lo: float, hi: float
+) -> tuple[tuple[float, ...], float]:
+    """Gauss-Kronrod 7/15 on [lo, hi] of s; returns (kronrod per component,
+    the largest |kronrod - gauss|).
+
+    Raises ConvergenceError when any of them is not finite.
     """
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    gauss = 0.0
-    kronrod = 0.0
-    for node, wg, wk in _GK15:
-        if node == 0.0:
-            fv = f(mid)
-            gauss += wg * fv
-            kronrod += wk * fv
-            continue
-        f_hi = f(mid + half * node)
-        f_lo = f(mid - half * node)
-        gauss += wg * (f_hi + f_lo)
-        kronrod += wk * (f_hi + f_lo)
-    value, err = half * kronrod, abs(half * (kronrod - gauss))
-    # A NaN estimate would end the refinement loop as if converged.
-    if not (math.isfinite(value) and math.isfinite(err)):
-        raise ConvergenceError(
-            f"non-finite quadrature panel (value {value!r}, error estimate {err!r})"
+    base, width, cubic = chart
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    ss = [mid + half * node for node in _NODES]
+    cols = columns([base + width * (s * s * s if cubic else s) for s in ss])
+    if cubic:  # |dx/ds| = 3 |width| s^2 scales each value
+        jac = [3.0 * s * s for s in ss]
+        cols = [list(map(mul, jac, col)) for col in cols]
+    scale = half * abs(width)
+    values, err = [], 0.0
+    for col in cols:
+        try:
+            value = scale * math.fsum(map(mul, _WK, col))
+            diff = abs(value - scale * math.fsum(map(mul, _WG, col)))
+        except (OverflowError, ValueError):  # fsum's overflow and inf - inf
+            value = diff = math.nan
+        # A NaN estimate would end the refinement loop as if converged.
+        if not (math.isfinite(value) and math.isfinite(diff)):
+            raise ConvergenceError(
+                f"non-finite quadrature panel (value {value!r}, error estimate {diff!r})"
+            )
+        values.append(value)
+        err = max(err, diff)
+    return tuple(values), err
+
+
+def _integrate(
+    columns: Callable[[list[float]], Iterable[Sequence[float]]],
+    a: float,
+    b: float,
+    tol: float = _DEFAULT_TOL,
+    flags: EndpointFlag = EndpointFlag(),
+    max_panels: int = _MAX_PANELS,
+) -> tuple[tuple[float, ...], float, int]:
+    """``integrate`` of each component that ``columns(xs)`` returns, one
+    sequence of values at the nodes xs per component.
+
+    Returns (integral per component, error estimate, subdivisions).
+    """
+    # A finite b - a also keeps every node finite.
+    if not (a < b and math.isfinite(b - a)):
+        raise DomainError(
+            f"integration bounds must satisfy a < b with finite b - a, got {a!r}, {b!r}"
         )
-    return value, err
+    # NaN would end refinement at once, and True would run at tol 1.
+    if isinstance(tol, bool) or not tol >= _MIN_TOL:
+        raise DomainError(f"tolerance must be a number >= {_MIN_TOL:g}, got {tol!r}")
+    max_panels = as_order(max_panels, 1, math.inf, "max_panels")
 
-
-def _stretched_tasks(
-    f: Callable[[float], float], a: float, b: float, flags: EndpointFlag
-) -> Iterable[Callable[[float], float]]:
-    """Rewrite the integral as unit-interval pieces with smoothed endpoints."""
     span = b - a
-
-    def from_lower(base: float, width: float) -> Callable[[float], float]:
-        def g(s: float) -> float:
-            return 3.0 * width * s * s * f(base + width * s**3)
-
-        return g
-
-    def from_upper(base: float, width: float) -> Callable[[float], float]:
-        def g(s: float) -> float:
-            r = 1.0 - s
-            return 3.0 * width * r * r * f(base - width * r**3)
-
-        return g
-
-    def plain(base: float, width: float) -> Callable[[float], float]:
-        def g(s: float) -> float:
-            return width * f(base + width * s)
-
-        return g
-
+    charts: tuple[_Chart, ...] = ((a, span, False),)
     if flags.lower_singular and flags.upper_singular:
-        return (from_lower(a, 0.5 * span), from_upper(b, 0.5 * span))
-    if flags.lower_singular:
-        return (from_lower(a, span),)
-    if flags.upper_singular:
-        return (from_upper(b, span),)
-    return (plain(a, span),)
+        charts = ((a, 0.5 * span, True), (b, -0.5 * span, True))
+    elif flags.lower_singular:
+        charts = ((a, span, True),)
+    elif flags.upper_singular:
+        charts = ((b, -span, True),)
+    heap: list[tuple[float, int, float, float, tuple[float, ...], _Chart]] = []
+    counter = panels = 0
+    total_err = 0.0
+    for chart in charts:
+        vals, err = _gk15_panel(columns, chart, 0.0, 1.0)
+        heapq.heappush(heap, (-err, counter, 0.0, 1.0, vals, chart))
+        counter += 1
+        panels += 1
+        total_err += err
+
+    while total_err > tol:
+        if panels >= max_panels:
+            raise ConvergenceError(
+                f"quadrature did not reach tol={tol:g} within {max_panels} panels "
+                f"(estimate {total_err:g})"
+            )
+        neg_err, _, lo, hi, _, chart = heapq.heappop(heap)
+        total_err += neg_err  # neg_err is -err
+        mid = 0.5 * (lo + hi)
+        for piece in ((lo, mid), (mid, hi)):
+            pvals, perr = _gk15_panel(columns, chart, *piece)
+            heapq.heappush(heap, (-perr, counter, piece[0], piece[1], pvals, chart))
+            counter += 1
+            total_err += perr
+        panels += 1
+
+    # Sum in deterministic heap order, free of accumulation drift.
+    values = tuple(map(math.fsum, zip(*(item[4] for item in heap))))
+    total_err = math.fsum(-item[0] for item in heap)
+    return values, total_err, panels
 
 
 def integrate(
@@ -134,48 +182,5 @@ def integrate(
     not bring the error estimate under ``tol``, or if a panel's value or
     error estimate is not finite.
     """
-    # A finite b - a also keeps every node finite.
-    if not (a < b and math.isfinite(b - a)):
-        raise DomainError(
-            f"integration bounds must satisfy a < b with finite b - a, got {a!r}, {b!r}"
-        )
-    # NaN would end refinement at once, and True would run at tol 1.
-    if isinstance(tol, bool) or not tol >= _MIN_TOL:
-        raise DomainError(f"tolerance must be a number >= {_MIN_TOL:g}, got {tol!r}")
-    max_panels = as_order(max_panels, 1, math.inf, "max_panels")
-
-    heap: list[tuple[float, int, float, float, float, Callable[[float], float]]] = []
-    counter = 0
-    total = 0.0
-    total_err = 0.0
-    panels = 0
-    for g in _stretched_tasks(f, a, b, flags):
-        val, err = _gk15_panel(g, 0.0, 1.0)
-        heapq.heappush(heap, (-err, counter, 0.0, 1.0, val, g))
-        counter += 1
-        panels += 1
-        total += val
-        total_err += err
-
-    while total_err > tol:
-        if panels >= max_panels:
-            raise ConvergenceError(
-                f"quadrature did not reach tol={tol:g} within {max_panels} panels "
-                f"(estimate {total_err:g})"
-            )
-        neg_err, _, lo, hi, val, g = heapq.heappop(heap)
-        total -= val
-        total_err += neg_err  # neg_err is -err
-        mid = 0.5 * (lo + hi)
-        for piece in ((lo, mid), (mid, hi)):
-            pval, perr = _gk15_panel(g, *piece)
-            heapq.heappush(heap, (-perr, counter, piece[0], piece[1], pval, g))
-            counter += 1
-            total += pval
-            total_err += perr
-        panels += 1
-
-    # Re-sum in deterministic heap order to shed accumulation drift.
-    total = math.fsum(item[4] for item in heap)
-    total_err = math.fsum(-item[0] for item in heap)
-    return QuadResult(value=total, abs_error_estimate=total_err, subdivisions=panels)
+    (value,), err, panels = _integrate(lambda xs: ([*map(f, xs)],), a, b, tol, flags, max_panels)
+    return QuadResult(value=value, abs_error_estimate=err, subdivisions=panels)

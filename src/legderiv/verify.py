@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from .exceptions import DomainError
-from .oracle import ode_residual, order_derivatives
+from .oracle import ode_residuals, order_derivatives
 from .orderderiv import _frak_I, _int_p1, _int_p2, _int_p3, _int_p3_head
 from .orderderiv import (
     _PI4,
@@ -45,7 +45,7 @@ from .orderderiv import (
     dilog_reflection,
     trilog_identity,
 )
-from .polylog import _Li234, _li234, as_order, polylog, trigamma, zeta_const
+from .polylog import _Li234, _li234, _zeta_tail, as_order, polylog, trigamma, zeta_const
 from .quadrature import EndpointFlag, integrate
 
 __all__ = [
@@ -277,14 +277,11 @@ def check_closed_forms(tol_overrides: Mapping[str, float] | None = None) -> list
     return results
 
 
-def check_quadrature_recurrence(
-    n: int, tol_overrides: Mapping[str, float] | None = None
-) -> CheckResult:
-    """The residual of the recurrence integrated twice (``ode_residual``) over the grid."""
-    n = as_order(n, 1, 4, "derivative order")
+def check_quadrature_recurrence(tol_overrides: Mapping[str, float] | None = None) -> list[CheckResult]:
+    """Residuals of the recurrence integrated twice (``ode_residuals``) on the grid, n = 1..4."""
     tols = resolve_tolerances(tol_overrides)
-    devs = [ode_residual(n, z) for z in _ODE_GRID]
-    return _result(f"ode-recurrence-n{n}", devs, 1.0, tols, f"ode_n{n}")
+    rows = zip(*map(ode_residuals, _ODE_GRID))
+    return [_result(f"ode-recurrence-n{n}", dev, 1.0, tols, f"ode_n{n}") for n, dev in enumerate(rows, 1)]
 
 
 # --- section-2 polylogarithm identities ------------------------------------
@@ -507,9 +504,9 @@ def check_appendix_a(
 
 def _partial_sums(terms: int) -> tuple[float, float, float, float]:
     """Partial sums of psi'(k)/k^2 and psi'(k+1)/k^2 to K = ``terms``, the
-    analytic tail of the first past K, and zeta(4) - sum_{k<=K} 1/k^4."""
+    analytic tail of the first past K, and zeta(4, K+1) = sum_{k>K} 1/k^4."""
     # psi'(k), k = K..1, by the stable backward step psi'(k+1) + 1/k^2 on a float k
-    main = shifted = h3 = h4 = h5 = 0.0
+    main = shifted = 0.0
     tk = trigamma(terms + 1)
     k = float(terms)
     while k > 0.0:
@@ -518,15 +515,13 @@ def _partial_sums(terms: int) -> tuple[float, float, float, float]:
         tk += inv
         main += tk / k2
         shifted += (tk - inv) / k2
-        h3 += 1.0 / (k2 * k)
-        h4 += 1.0 / (k2 * k2)
-        h5 += 1.0 / (k2 * k2 * k)
         k -= 1.0
-    # sum_{k>K} psi'(k)/k^2 with psi'(k) ~ 1/k + 1/(2k^2) + 1/(6k^3) - ...
-    # expressed through zeta tails; the dropped -1/(30 k^7) layer contributes
-    # less than 1/(180 K^6).
-    tail4 = zeta_const(4) - h4
-    tail = (zeta_const(3) - h3) + 0.5 * tail4 + (zeta_const(5) - h5) / 6.0
+    # sum_{k>K} psi'(k)/k^2 with psi'(k) ~ 1/k + 1/(2k^2) + 1/(6k^3) - ...: Hurwitz
+    # zeta(s, K+1) tails, not zeta(s) less a partial sum, which cancels; the
+    # dropped -1/(30 k^7) layer contributes less than 1/(180 K^6).
+    x = terms + 1.0
+    tail4 = _zeta_tail(4, x)
+    tail = _zeta_tail(3, x) + 0.5 * tail4 + _zeta_tail(5, x) / 6.0
     return main, shifted, tail, tail4
 
 
@@ -574,8 +569,9 @@ def check_appendix_b(
     """Endpoint limits of frak_I and the trigamma sums, with tail acceleration.
 
     In exact arithmetic ``trigamma-sum-intermediate`` is the accelerated sum
-    less zeta(4) (sum_{k<=K} 1/k^4 plus its tail), and the deviation of
-    ``trigamma-sum-naive-gap`` is the accelerated sum's error at K = 1000.
+    less zeta(4) (sum_{k<=K} 1/k^4 plus its tail zeta(4, K+1), in closed
+    form), and the deviation of ``trigamma-sum-naive-gap`` is the accelerated
+    sum's error at K = 1000.
     """
     terms = as_order(terms, 10**3, 10**8, "terms")
     tols = resolve_tolerances(tol_overrides)
@@ -648,8 +644,7 @@ def run_suite(
     tols = resolve_tolerances(tol_overrides)
     results: list[CheckResult] = []
     results.extend(check_closed_forms(tol_overrides))
-    for n in range(1, 5):
-        results.append(check_quadrature_recurrence(n, tol_overrides))
+    results.extend(check_quadrature_recurrence(tol_overrides))
     results.extend(check_identities(tol_overrides, seed=seed))
     results.extend(check_appendix_a(tol_overrides, seed=seed))
     results.extend(check_appendix_b(terms, tol_overrides))

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from legderiv import ConvergenceError, DomainError, EndpointFlag, integrate
+from legderiv.quadrature import _integrate
 
 PI = math.pi
 
@@ -131,6 +132,60 @@ class TestContracts:
         exact = (math.cos(5.0) * math.exp(1.0) + 5.0 * math.sin(5.0) * math.exp(1.0) - 1.0) / 26.0
         res = integrate(f, 0.0, 1.0, tol=1e-11)
         assert abs(res.value - exact) <= max(1e-11, res.abs_error_estimate)
+
+
+def _tuple_valued(f):
+    # the shared kernel's view of a tuple-valued f: one column per component
+    return lambda xs: zip(*map(f, xs))
+
+
+class TestSharedNodes:
+    # The kernel integrates every component of a tuple-valued integrand over
+    # one set of panels; integrate is its one-component call.
+    COMPONENTS = (
+        math.cos,
+        lambda x: math.exp(-x) * math.cos(7.0 * x) / (1.0 + x * x),
+        lambda x: 1.0 / (1e-3 + (x - 0.37) ** 2),
+        lambda x: x**5,
+    )
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    def test_each_component_matches_its_own_integrate(self, tol):
+        values, err, panels = _integrate(
+            _tuple_valued(lambda x: tuple(f(x) for f in self.COMPONENTS)), -0.5, 2.0, tol
+        )
+        assert err <= tol and panels >= 1
+        for value, f in zip(values, self.COMPONENTS):
+            alone = integrate(f, -0.5, 2.0, tol)
+            assert abs(value - alone.value) <= tol, (value, alone.value)
+
+    def test_components_share_the_singular_stretching(self):
+        flags = EndpointFlag(lower_singular=True, upper_singular=True)
+        pair = lambda x: (math.log(x), math.log(x) * math.log1p(-x))
+        (first, second), _, _ = _integrate(_tuple_valued(pair), 0.0, 1.0, 1e-10, flags)
+        assert abs(first + 1.0) <= 1e-10
+        assert abs(second - (2.0 - PI**2 / 6.0)) <= 1e-10
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_one_bad_component_raises(self, bad, where):
+        # a non-finite value in any single component, at some nodes or at
+        # every node, is a ConvergenceError, never a NaN
+        def f(x):
+            row = [math.sin(x), x * x, math.exp(x)]
+            if x > 0.8:
+                row[where] = bad
+            return tuple(row)
+
+        with pytest.raises(ConvergenceError):
+            _integrate(_tuple_valued(f), 0.0, 1.0, 1e-12)
+        with pytest.raises(ConvergenceError):
+            _integrate(_tuple_valued(lambda x: f(x + 1.0)), 0.0, 1.0, 1e-12)
+
+    def test_overflowing_sum_raises(self):
+        # finite weighted values (each below 0.21e308) whose sum overflows
+        with pytest.raises(ConvergenceError):
+            _integrate(_tuple_valued(lambda x: (1.0, 1e308)), 0.0, 2.0, 1e-10)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
