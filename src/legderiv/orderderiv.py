@@ -217,7 +217,7 @@ def inner_integral_I(z: float) -> float:
     outside the domain.
     """
     z = _check_z(1, z)
-    return (z + 1.0) * p_deriv(3, z)
+    return (z + 1.0) * p_derivs(z)[3]
 
 
 def frak_I(t: float) -> float:
@@ -267,9 +267,11 @@ def frak_I_limit(endpoint: int) -> float:
 def first_integral(eta: int, z: float, li_order: int = 2) -> float:
     """First integrals int^z P_eta dz' for eta in {1, 2, 3}, as closed forms.
 
-    eta = 1 and 2 are within 2e-15 relative (at most 9.5e-16 against mpmath
-    over 300 random z and z = -1 + 1e-12, -1 + 1e-6, 0 and 1); eta = 3 is the
-    source's display, kept for the verification suite, with no stated bound.
+    One element of the five displays ``_first_integrals(z)`` evaluates
+    together, so one display costs the whole family.  eta = 1 and 2 are within
+    2e-15 relative (at most 9.5e-16 against mpmath over 300 random z and
+    z = -1 + 1e-12, -1 + 1e-6, 0 and 1); eta = 3 is the source's display, kept
+    for the verification suite, with no stated bound.
 
     The eta = 3 form contains a polylogarithm whose order is ambiguous in
     the source display; ``li_order`` selects the resolution (default 2,
@@ -280,37 +282,26 @@ def first_integral(eta: int, z: float, li_order: int = 2) -> float:
     eta = as_order(eta, 1, 3, "first_integral eta")
     li_order = as_order(li_order, 1, 3, "li_order")
     z = _check_z(1, z)
-    t = 0.5 * (1.0 + z)
+    return _first_integrals(z)[eta - 1 if eta < 3 else li_order + 1]
+
+
+def _first_integrals(z: float) -> tuple[float, float, float, float, float]:
+    # int P1, int P2 and the eta = 3 display with Li_1, Li_2, Li_3, for z checked as
+    # p_deriv does, from one ln t and one _li234(t); the eta = 3 rows share one head.
+    t, u = 0.5 * (1.0 + z), 0.5 * (1.0 - z)
     lt = math.log(t)
-    if eta == 1:
-        return _int_p1(z, lt)
-    u = 0.5 * (1.0 - z)
-    if eta == 2:
-        return _int_p2(z, lt, polylog(2, u))
     li2t, li3t, _ = _li234(t)
-    head = _int_p3_head(z, lt, li2t, li3t)
-    if z == 1.0:
-        return head  # the (1-z) group vanishes; avoids ln(0) * 0
-    li = polylog(1, t) if li_order == 1 else li2t if li_order == 2 else li3t
-    return _int_p3(z, head, lt, math.log(u), li)
-
-
-# The first integrals from their logs and polylogs; eta = 3 shares one head across li_order.
-def _int_p1(z: float, lt: float) -> float:
-    return (1.0 + z) * (lt - 1.0)
-
-
-def _int_p2(z: float, lt: float, li2u: float) -> float:
-    return -2.0 * (1.0 + z) * (lt - 1.0) + 2.0 * (1.0 - z) * li2u
-
-
-def _int_p3_head(z: float, lt: float, li2t: float, li3t: float) -> float:
+    int1 = (1.0 + z) * (lt - 1.0)
+    int2 = -2.0 * (1.0 + z) * (lt - 1.0) + 2.0 * (1.0 - z) * polylog(2, u)
     bracket = 2.0 * li3t + _PI2 / 6.0 - 1.0 + 2.0 * zeta_const(3) - (li2t + _PI2 / 6.0 - 1.0) * lt
-    return 6.0 * (1.0 + z) * bracket
-
-
-def _int_p3(z: float, head: float, lt: float, lu: float, li: float) -> float:
-    return head + 6.0 * (1.0 - z) * (li + lu * lt)
+    head = 6.0 * (1.0 + z) * bracket
+    if t == 1.0:
+        # The (1-z) group vanishes at z = 1.  At z = 1 - 2^-53, where t rounds to 1,
+        # it is within 4e-16 of the head, and Li_1 of the rounded t would diverge.
+        return int1, int2, head, head, head
+    lu = math.log(u)
+    int3 = (head + 6.0 * (1.0 - z) * (li + lu * lt) for li in (polylog(1, t), li2t, li3t))
+    return int1, int2, *int3
 
 
 def _check_unit_interval(x: float) -> float:

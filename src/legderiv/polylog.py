@@ -41,9 +41,9 @@ from one pass: one Horner loop over the three piece tables side by side (the
 zero-padded rows of ``_rows``), of x's piece on [-1, 1/2] or of the a rows of
 v's piece above 1/2, then one log(v) times b(v) spelled as ``_li`` spells it;
 below -1, one recursion at 1/x through the same inversion step (``_inverted``)
-as ``_li``.  Each value equals ``polylog(s, x)`` bit for bit.  ``frak_I``,
-``first_integral(3, .)``, ``_closed_form(3 and 4)``, verify's display families
-(``_t_displays``, ``_z_displays``) and two scalar antiderivative displays call it.
+as ``_li``.  Each value equals ``polylog(s, x)`` bit for bit.  ``frak_I``, the
+first integrals (``orderderiv._first_integrals``), ``_closed_form(3 and 4)`` and
+verify's antiderivative displays (``_t_displays``) call it.
 """
 
 from __future__ import annotations

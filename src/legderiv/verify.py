@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Mapping
 
 from .exceptions import DomainError
 from .oracle import ode_residuals, order_derivatives
-from .orderderiv import _frak_I, _int_p1, _int_p2, _int_p3, _int_p3_head
+from .orderderiv import _first_integrals, _frak_I
 from .orderderiv import (
     _PI4,
     _closed_form,
@@ -45,7 +45,7 @@ from .orderderiv import (
     dilog_reflection,
     trilog_identity,
 )
-from .polylog import _Li234, _li234, _zeta_tail, as_order, polylog, trigamma, zeta_const
+from .polylog import _li234, _zeta_tail, as_order, polylog, trigamma, zeta_const
 from .quadrature import EndpointFlag, integrate
 
 __all__ = [
@@ -212,10 +212,6 @@ def _slopes(fn: Callable[[float], tuple[float, ...]], x: float) -> tuple[float, 
     return tuple((8.0 * (a - b) - (c - d)) / (12.0 * h) for a, b, c, d in zip(*points))
 
 
-def _derivative(fn: Callable[[float], float], x: float) -> float:
-    return _slopes(lambda y: (fn(y),), x)[0]
-
-
 # --- closed forms vs. the nu-derivative oracle ----------------------------
 
 
@@ -305,28 +301,26 @@ def check_identities(
 # --- antiderivative displays (treated as hypotheses) -----------------------
 
 
-# Each display is one formula of its logs and polylogs, for _anti_* and _t_displays alike.
-def _li4_landen(t: float, lu: float, li2w: float, li3w: float, li4w: float) -> float:
-    return -0.5 * li2w**2 + t * li4w + lu * li3w
-
-
-def _li2_squared(t: float, lt: float, lu: float, li2: float, li3u: float) -> float:
-    return (
-        -2.0
-        + 6.0 * t
-        + 6.0 * (1.0 - t - math.pi**2 / 9.0) * lu
-        - 2.0 * (1.0 - t - lt) * lu * lu
-        - 2.0 * (t - (1.0 + t) * lu) * li2
-        + t * li2 * li2
-        + 4.0 * li3u
-    )
-
-
-def _log_squares(x: float, lx: float, lu: float, kx: _Li234, ku: _Li234, kw: _Li234) -> float:
+def _t_displays(x: float) -> tuple[float, float, float, float]:
+    # The Li_4 Landen, Li_2(t)^2 and log-squares antiderivatives and the frak_I
+    # variant (+2 ln(t) Li_3(t)), one per row, from one _li234 at each of t, 1 - t
+    # and t/(t - 1).
+    lx, lu = math.log(x), math.log1p(-x)
+    kx, ku, kw = _li234(x), _li234(1.0 - x), _li234(x / (x - 1.0))
     li2x, li3x, li4x = kx
     li2u, li3u, li4u = ku
     li2w, li3w, li4w = kw
-    return (
+    li4_landen = -0.5 * li2w**2 + x * li4w + lu * li3w
+    li2_squared = (
+        -2.0
+        + 6.0 * x
+        + 6.0 * (1.0 - x - math.pi**2 / 9.0) * lu
+        - 2.0 * (1.0 - x - lx) * lu * lu
+        - 2.0 * (x - (1.0 + x) * lu) * li2x
+        + x * li2x * li2x
+        + 4.0 * li3u
+    )
+    log_squares = (
         -4.0
         + 24.0 * x
         + 12.0 * (1.0 - x) * lu
@@ -348,41 +342,7 @@ def _log_squares(x: float, lx: float, lu: float, kx: _Li234, ku: _Li234, kw: _Li
         - 4.0 * li4x
         - 4.0 * li4w
     )
-
-
-def _anti_li4_landen(t: float) -> float:
-    return _li4_landen(t, math.log1p(-t), *_li234(t / (t - 1.0)))
-
-
-def _anti_li2_squared(t: float) -> float:
-    return _li2_squared(t, math.log(t), math.log1p(-t), polylog(2, t), polylog(3, 1.0 - t))
-
-
-def _anti_log_squares(x: float) -> float:
-    kernel = _li234(x), _li234(1.0 - x), _li234(x / (x - 1.0))
-    return _log_squares(x, math.log(x), math.log1p(-x), *kernel)
-
-
-def _t_displays(x: float) -> tuple[float, float, float, float]:
-    # The three antiderivatives and the frak_I variant (+2 ln(t) Li_3(t)), one per row.
-    lx, lu = math.log(x), math.log1p(-x)
-    kx, ku, kw = _li234(x), _li234(1.0 - x), _li234(x / (x - 1.0))
-    return (
-        _li4_landen(x, lu, *kw),
-        _li2_squared(x, lx, lu, kx[0], ku[1]),
-        _log_squares(x, lx, lu, kx, ku, kw),
-        _frak_I(lx, lu, kx, ku, kw) + 4.0 * lx * kx[1],
-    )
-
-
-def _z_displays(z: float) -> tuple[float, float, float, float, float]:
-    # int P1, int P2 and the eta = 3 display with Li_1, Li_2, Li_3, for z in (-1, 1).
-    t, u = 0.5 * (1.0 + z), 0.5 * (1.0 - z)
-    lt, lu = math.log(t), math.log(u)
-    li2t, li3t, _ = _li234(t)
-    head = _int_p3_head(z, lt, li2t, li3t)
-    int3 = [_int_p3(z, head, lt, lu, li) for li in (polylog(1, t), li2t, li3t)]
-    return _int_p1(z, lt), _int_p2(z, lt, polylog(2, u)), *int3
+    return li4_landen, li2_squared, log_squares, _frak_I(lx, lu, kx, ku, kw) + 4.0 * lx * li3x
 
 
 def _frak_integrand(t: float) -> float:
@@ -394,8 +354,9 @@ def check_appendix_a(
     tol_overrides: Mapping[str, float] | None = None, seed: int = DEFAULT_SEED
 ) -> list[CheckResult]:
     """Differentiate-and-compare checks for the first integrals and the three long
-    antiderivative displays, plus the inner-integral cancellation.  Rows that share
-    stencil points take one ``_z_displays`` or ``_t_displays`` call per point."""
+    antiderivative displays, plus the inner-integral cancellation.  Each display is
+    written once, in a family whose rows ``_slopes`` differentiates together:
+    ``orderderiv._first_integrals`` or ``_t_displays``, one call per stencil point."""
     tols = resolve_tolerances(tol_overrides)
     rng = random.Random(seed)
     zs = [rng.uniform(-0.9, 0.97) for _ in range(50)]
@@ -403,7 +364,7 @@ def check_appendix_a(
     results = []
 
     # Against P1, P2, P3, P3, P3 from p_derivs, which is p_deriv bit for bit.
-    z_slopes = [_slopes(_z_displays, z) for z in zs]
+    z_slopes = [_slopes(_first_integrals, z) for z in zs]
     z_targets = [p_derivs(z) for z in zs]
     for eta in (1, 2):
         devs = [abs(s[eta - 1] - p[eta]) for s, p in zip(z_slopes, z_targets)]
@@ -516,13 +477,16 @@ def _partial_sums(terms: int) -> tuple[float, float, float, float]:
         main += tk / k2
         shifted += (tk - inv) / k2
         k -= 1.0
-    # sum_{k>K} psi'(k)/k^2 with psi'(k) ~ 1/k + 1/(2k^2) + 1/(6k^3) - ...: Hurwitz
-    # zeta(s, K+1) tails, not zeta(s) less a partial sum, which cancels; the
-    # dropped -1/(30 k^7) layer contributes less than 1/(180 K^6).
+    return main, shifted, *_tails(terms)
+
+
+def _tails(terms: int) -> tuple[float, float]:
+    # sum_{k>K} psi'(k)/k^2 with psi'(k) ~ 1/k + 1/(2k^2) + 1/(6k^3) - ..., and
+    # zeta(4, K+1): Hurwitz zeta(s, K+1) tails, not zeta(s) less a partial sum,
+    # which cancels; the dropped -1/(30 k^7) layer contributes less than 1/(180 K^6).
     x = terms + 1.0
     tail4 = _zeta_tail(4, x)
-    tail = _zeta_tail(3, x) + 0.5 * tail4 + _zeta_tail(5, x) / 6.0
-    return main, shifted, tail, tail4
+    return _zeta_tail(3, x) + 0.5 * tail4 + _zeta_tail(5, x) / 6.0, tail4
 
 
 def _brute_force(terms: int) -> tuple[float, float]:
@@ -610,8 +574,7 @@ def check_appendix_b(
     naive_terms = 1000
     naive, dropped = _brute_force(naive_terms)
     gap = trigamma_sum_target() - naive
-    _, _, naive_tail, _ = _partial_sums(naive_terms)
-    predicted_gap = dropped + naive_tail
+    predicted_gap = dropped + _tails(naive_terms)[0]
     results.append(
         _result(
             "trigamma-sum-naive-gap",

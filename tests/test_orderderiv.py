@@ -33,6 +33,7 @@ from legderiv import (
     trilog_identity,
     zeta_const,
 )
+from legderiv import orderderiv
 
 PI = math.pi
 
@@ -386,6 +387,32 @@ class TestFirstIntegrals:
         value = first_integral(3, 1.0)
         expected = 12.0 * (2.0 * zeta_const(3) + PI**2 / 6.0 - 1.0 + 2.0 * zeta_const(3))
         assert value == pytest.approx(expected, rel=1e-14)
+
+    def test_finite_where_t_rounds_to_one(self):
+        # at z = 1 - 2^-53, t = (1 + z)/2 rounds to 1.0 although z < 1, so Li_1(t)
+        # cannot be evaluated; every display is still finite at the domain's ends
+        edges = (1.0 - 2.0**-53, 1.0 - 2.0**-52, 1.0, -1.0 + 2.0**-53)
+        for z in edges:
+            for eta in (1, 2, 3):
+                for order in (1, 2, 3):
+                    assert math.isfinite(first_integral(eta, z, li_order=order)), (z, eta, order)
+        z = 1.0 - 2.0**-53
+        with mp.workdps(40):
+            x = mp.mpf(z)
+            t, u = (1 + x) / 2, (1 - x) / 2
+            bracket = 2 * mp.polylog(3, t) + mp.pi**2 / 6 - 1 + 2 * mp.zeta(3)
+            bracket -= (mp.polylog(2, t) + mp.pi**2 / 6 - 1) * mp.log(t)
+            reference = 6 * (1 + x) * bracket + 6 * (1 - x) * (-mp.log(u) + mp.log(u) * mp.log(t))
+            rel = float(abs((first_integral(3, z, li_order=1) - reference) / reference))
+        assert rel <= 1e-15, rel
+
+    def test_each_display_is_an_element_of_the_family(self):
+        zs = [-1.0 + 2.0**-53, -0.5, 0.0, 0.3, 1.0 - 2.0**-53, 1.0]
+        for z in zs:
+            family = [v.hex() for v in orderderiv._first_integrals(z)]
+            displays = [first_integral(1, z).hex(), first_integral(2, z).hex()]
+            displays += [first_integral(3, z, li_order=order).hex() for order in (1, 2, 3)]
+            assert displays == family, z
 
     def test_domain(self):
         with pytest.raises(DomainError):
