@@ -152,7 +152,7 @@ def cmd_table(orders: str, z_start: float, z_end: float, steps: int, fmt: str, o
 @main.command("verify")
 @click.option("--json", "as_json", is_flag=True, help="Emit the structured report.")
 @click.option("--tol-fd", type=float, default=None,
-              help="Override the oracle-comparison, table and finite-difference tolerances.")
+              help="Override the oracle, table, first-integral and antiderivative tolerances.")
 @click.option("--tol-identities", type=float, default=None, help="Override the identity tolerance.")
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
 @click.option("--sum-terms", type=int, default=DEFAULT_SUM_TERMS, show_default=True,

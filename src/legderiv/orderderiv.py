@@ -30,7 +30,9 @@ runs through: the inner integral I(z) = (1+z) P3(z), the antiderivative
 frak_I of ln(t) Li_2(t)/(1-t) with its endpoint limits, the first
 integrals int^z P_eta dz', and residual evaluators for the dilogarithm
 reflection, the dilogarithm Landen transform, and the three-term
-trilogarithm identity.
+trilogarithm identity.  ``_frak_I`` and ``_first_integral_displays`` are the
+frak_I and first-integral displays over their kernel values; they take only +,
+- and *, so the verification suite differentiates them on values v + i*slope.
 
 Only P1 and P3 diverge as z -> -1 (the ln(t) coefficient sin(pi nu)/pi is odd
 in nu; P2 -> -pi^2/3, P4 -> pi^4/5); z = -1 is a domain error for n >= 1.
@@ -41,8 +43,7 @@ from __future__ import annotations
 import math
 
 from .exceptions import DomainError
-from .polylog import _MIDPOINTS, _SERIES_PIECES, _Li234, _li234, _piece, _recentred
-from .polylog import _rows, as_order, polylog, zeta_const
+from .polylog import _MIDPOINTS, _SERIES_PIECES, _piece, _recentred, as_order, polylog, zeta_const
 
 __all__ = [
     "p_deriv",
@@ -90,6 +91,14 @@ def _nu_tables() -> dict[int, dict[int, tuple[tuple[float, ...], ...]]]:
             for i in range(8, 12)
         }
     return tables
+
+
+def _rows(*columns: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
+    # The columns side by side, each zero-padded at its high-power end to the
+    # longest.  A Horner pass goes 0 -> 0*x + 0 = 0 -> 0*x + c = c through the
+    # padding, so each column gives the same bits as its own _horner pass.
+    width = max(map(len, columns))
+    return tuple(zip(*((0.0,) * (width - len(col)) + col for col in columns)))
 
 
 _NU_TABLES = _nu_tables()
@@ -183,22 +192,21 @@ def _closed_form(n: int, z: float) -> float:
     zeta3 = zeta_const(3)
     if n == 3:
         lt = math.log(t)
-        li2t, li3t, _ = _li234(t)
-        return 12.0 * li3t - 6.0 * lt * li2t - _PI2 * lt - 12.0 * zeta3
+        li2t = polylog(2, t)
+        return 12.0 * polylog(3, t) - 6.0 * lt * li2t - _PI2 * lt - 12.0 * zeta3
     # n == 4: the ln(1-t) powers blow up at t = 1 while their sum cancels,
     # so the normalization point returns exactly 0 instead of NaN.
     if t == 1.0:
         return 0.0
     lt = math.log(t)
     lu = math.log(u)
-    li2t, _, li4t = _li234(t)
-    _, li3u, li4u = _li234(u)
+    li2t = polylog(2, t)
     row1 = (
         0.5 * li2t * li2t
         - _PI2 / 6.0 * li2t
-        + 2.0 * li4t
-        - 2.0 * li4u
-        + 2.0 * lt * (li3u - zeta3)
+        + 2.0 * polylog(4, t)
+        - 2.0 * polylog(4, u)
+        + 2.0 * lt * (polylog(3, u) - zeta3)
     )
     row2 = lu**4 / 12.0 + _PI2 / 6.0 * lu * lu + 2.0 * polylog(4, -t / u)
     row3 = lt * lu * (li2t - _PI2 / 2.0 - lu * lu / 3.0 + lt * lu)
@@ -232,14 +240,13 @@ def frak_I(t: float) -> float:
             f"frak_I is defined on the open interval (0, 1), got {t!r}; "
             "endpoint values are provided by frak_I_limit"
         )
-    return _frak_I(math.log(t), math.log1p(-t), _li234(t), _li234(1.0 - t), _li234(t / (t - 1.0)))
+    k = [polylog(s, y) for y in (t, 1.0 - t, t / (t - 1.0)) for s in (2, 3, 4)]
+    return _frak_I(math.log(t), math.log1p(-t), *k)
 
 
-def _frak_I(lt: float, lu: float, kt: _Li234, ku: _Li234, kw: _Li234) -> float:
+def _frak_I(lt: complex, lu: complex, *k: complex) -> complex:
     # frak_I from ln t, ln(1-t) and (Li_2, Li_3, Li_4) at t, 1 - t and t/(t - 1).
-    li2t, li3t, li4t = kt
-    li2u, li3u, li4u = ku
-    li2w, li3w, li4w = kw
+    li2t, li3t, li4t, li2u, li3u, li4u, li2w, li3w, li4w = k
     d = lt - lu  # ln(t/(1-t))
     total = (lt * lt - lt * lu) * li2t - lu * lu * li2u + d * d * li2w - 0.5 * li2t * li2t
     # The 2 ln(t) Li_3(t) term carries a minus sign: that is what makes the
@@ -267,7 +274,7 @@ def frak_I_limit(endpoint: int) -> float:
 def first_integral(eta: int, z: float, li_order: int = 2) -> float:
     """First integrals int^z P_eta dz' for eta in {1, 2, 3}, as closed forms.
 
-    One element of the five displays ``_first_integrals(z)`` evaluates
+    One element of the five displays that ``_first_integral_displays`` evaluates
     together, so one display costs the whole family.  eta = 1 and 2 are within
     2e-15 relative (at most 9.5e-16 against mpmath over 300 random z and
     z = -1 + 1e-12, -1 + 1e-6, 0 and 1); eta = 3 is the source's display, kept
@@ -282,26 +289,28 @@ def first_integral(eta: int, z: float, li_order: int = 2) -> float:
     eta = as_order(eta, 1, 3, "first_integral eta")
     li_order = as_order(li_order, 1, 3, "li_order")
     z = _check_z(1, z)
-    return _first_integrals(z)[eta - 1 if eta < 3 else li_order + 1]
+    displays = _first_integral_displays(z, *_first_integral_kernel(z))
+    return displays[eta - 1 if eta < 3 else li_order + 1]
 
 
-def _first_integrals(z: float) -> tuple[float, float, float, float, float]:
-    # int P1, int P2 and the eta = 3 display with Li_1, Li_2, Li_3, for z checked as
-    # p_deriv does, from one ln t and one _li234(t); the eta = 3 rows share one head.
+def _first_integral_kernel(z: float) -> tuple[float, float, float, float, float, float]:
+    # ln t, ln u, (Li_1, Li_2, Li_3)(t) and Li_2(u).  The (1-z) group that ln u and
+    # Li_1(t) sit in vanishes at z = 1 and is within 4e-16 of the head at z = 1 - 2^-53,
+    # where t rounds to 1 and Li_1(t) would diverge: zeros there return the head.
     t, u = 0.5 * (1.0 + z), 0.5 * (1.0 - z)
-    lt = math.log(t)
-    li2t, li3t, _ = _li234(t)
+    lu, li1t = (0.0, 0.0) if t == 1.0 else (math.log(u), polylog(1, t))
+    return math.log(t), lu, li1t, polylog(2, t), polylog(3, t), polylog(2, u)
+
+
+def _first_integral_displays(z: complex, *kernel: complex) -> tuple[complex, ...]:
+    # int P1, int P2 and the eta = 3 display with Li_1, Li_2, Li_3 over their kernel
+    # values; the eta = 3 rows share one head.
+    lt, lu, li1t, li2t, li3t, li2u = kernel
     int1 = (1.0 + z) * (lt - 1.0)
-    int2 = -2.0 * (1.0 + z) * (lt - 1.0) + 2.0 * (1.0 - z) * polylog(2, u)
+    int2 = -2.0 * (1.0 + z) * (lt - 1.0) + 2.0 * (1.0 - z) * li2u
     bracket = 2.0 * li3t + _PI2 / 6.0 - 1.0 + 2.0 * zeta_const(3) - (li2t + _PI2 / 6.0 - 1.0) * lt
     head = 6.0 * (1.0 + z) * bracket
-    if t == 1.0:
-        # The (1-z) group vanishes at z = 1.  At z = 1 - 2^-53, where t rounds to 1,
-        # it is within 4e-16 of the head, and Li_1 of the rounded t would diverge.
-        return int1, int2, head, head, head
-    lu = math.log(u)
-    int3 = (head + 6.0 * (1.0 - z) * (li + lu * lt) for li in (polylog(1, t), li2t, li3t))
-    return int1, int2, *int3
+    return int1, int2, *(head + 6.0 * (1.0 - z) * (li + lu * lt) for li in (li1t, li2t, li3t))
 
 
 def _check_unit_interval(x: float) -> float:

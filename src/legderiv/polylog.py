@@ -33,17 +33,8 @@ series table, orderderiv's nu-tables too, is sized in one step
 reaches 2^-57 of the least |f| there.  ``_piece(x)`` says which piece's table
 runs on [-1, 1/2], for polylog and orderderiv alike; above 1/2 it is
 floor(8v) + 8.  Inversion, the only branch that recurses, lands on a piece:
-every call takes at most one hop.
-
-The paper's P3, P4 and frak_I take Li_2, Li_3 and Li_4 at the same few
-arguments (t, 1 - t, t/(t - 1)).  The private ``_li234(x)`` returns all three
-from one pass: one Horner loop over the three piece tables side by side (the
-zero-padded rows of ``_rows``), of x's piece on [-1, 1/2] or of the a rows of
-v's piece above 1/2, then one log(v) times b(v) spelled as ``_li`` spells it;
-below -1, one recursion at 1/x through the same inversion step (``_inverted``)
-as ``_li``.  Each value equals ``polylog(s, x)`` bit for bit.  ``frak_I``, the
-first integrals (``orderderiv._first_integrals``), ``_closed_form(3 and 4)`` and
-verify's antiderivative displays (``_t_displays``) call it.
+every call takes at most one hop.  ``polylog`` is the package's one Li_s
+kernel: every caller takes one call per order and argument.
 """
 
 from __future__ import annotations
@@ -158,7 +149,7 @@ def _recentred(
     # every piece, Li_s(e^-v) in v too, so it is least at one of its ends.  The rows
     # run to the longer column's end, and each column is cut to at most its own.
     # orderderiv keeps both columns; polylog's ln(x) pieces keep only a, since their
-    # b(v) is a monomial that _li and _li234 evaluate in closed form.
+    # b(v) is a monomial that _li evaluates in closed form.
     c = _MIDPOINTS[i]
     columns = [_taylor_at(table, c - x0) for table in (a, b) if table]
     ends = (c - 0.0625, c + 0.0625)
@@ -209,7 +200,7 @@ def _log_pieces(s: int) -> dict[int, tuple[float, ...]]:
     # j < 24, as far as _BERNOULLI reaches, but H_{s-1}/(s-1)! at the pole j = s-1, whose
     # ln(v) part is the monomial b(v) = -(-v)^(s-1)/(s-1)!.  _recentred sizes a on the
     # pieces 8..13 of [0, 3/4) against the whole of f, b included, and only a is kept:
-    # _li and _li234 evaluate b(v) as it stands.
+    # _li evaluates b(v) as it stands.
     harmonic = sum(1.0 / k for k in range(1, s))
     zeta = [harmonic if j == s - 1 else _zeta_at(s - j) for j in range(2 * len(_BERNOULLI))]
     a = tuple((-1) ** j * z / math.factorial(j) for j, z in enumerate(zeta))[::-1]
@@ -240,7 +231,7 @@ def _li(s: int, x: float) -> float:
         return x * _horner(_SERIES_PIECES[s][i], x - _MIDPOINTS[i])
     if x > 0.0:
         # v = -ln x lies in the piece floor(8v) + 8 of [0, 3/4); b(v) is built up
-        # from b = v for s = 2 by the factor -v/k, as _li234 spells it.
+        # from b = v for s = 2 by the factor -v/k.
         v = -math.log(x)
         i = math.floor(8.0 * v) + 8
         b = v
@@ -248,51 +239,6 @@ def _li(s: int, x: float) -> float:
             b *= -v / k
         return _horner(_LOG_PIECES[s][i], v - _MIDPOINTS[i]) + math.log(v) * b
     return _inverted(s, _li(s, 1.0 / x), math.log(-x))
-
-
-def _rows(*columns: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
-    # The columns side by side, each zero-padded at its high-power end to the
-    # longest.  A Horner pass goes 0 -> 0*x + 0 = 0 -> 0*x + c = c through the
-    # padding, so each column gives the same bits as its own _horner pass.
-    width = max(map(len, columns))
-    return tuple(zip(*((0.0,) * (width - len(col)) + col for col in columns)))
-
-
-# _li234's tables: the s = 2, 3, 4 rows of each piece side by side, of [-1, 1/2]
-# and of v in [0, 3/4) (the a rows).
-_LI234_PIECES = tuple(_rows(*(_SERIES_PIECES[s][i] for s in (2, 3, 4))) for i in range(12))
-_LI234_LOG = {i: _rows(*(_LOG_PIECES[s][i] for s in (2, 3, 4))) for i in range(8, 14)}
-_Li234 = tuple[float, float, float]  # (Li_2, Li_3, Li_4) at one argument, as _li234 returns
-
-
-def _li234(x: float) -> _Li234:
-    # (Li_2, Li_3, Li_4)(x) for finite x <= 1, each equal to polylog(s, x) bit for
-    # bit: the three tables of x's piece in one Horner loop, one log(v) above 1/2.
-    if -1.0 <= x <= _SERIES_CUT:
-        i = _piece(x)
-        h = x - _MIDPOINTS[i]
-        rows = _LI234_PIECES[i]
-    elif x == 1.0:
-        return _ZETA2, _ZETA3, _ZETA4
-    elif x > 0.0:
-        v = -math.log(x)
-        i = math.floor(8.0 * v) + 8
-        h = v - _MIDPOINTS[i]
-        rows = _LI234_LOG[i]
-    else:
-        r2, r3, r4 = _li234(1.0 / x)
-        lgm = math.log(-x)
-        return _inverted(2, r2, lgm), _inverted(3, r3, lgm), _inverted(4, r4, lgm)
-    l2 = l3 = l4 = 0.0
-    for c2, c3, c4 in rows:
-        l2 = l2 * h + c2
-        l3 = l3 * h + c3
-        l4 = l4 * h + c4
-    if x <= _SERIES_CUT:
-        return x * l2, x * l3, x * l4
-    lv = math.log(v)
-    b3 = v * (-v / 2)
-    return l2 + lv * v, l3 + lv * b3, l4 + lv * (b3 * (-v / 3))
 
 
 def polylog(s: int, x: float) -> float:

@@ -67,8 +67,9 @@ class QuadResult:
     subdivisions: int
 
 
-# (base, width, cubic): s in (0, 1) maps to x = base + width s, or width s^3 if cubic.
-_Chart = tuple[float, float, bool]
+# (base, width, cubic, first, last): s in (0, 1) maps to x = base + width s, or width s^3
+# if cubic; first and last are the least and the largest float strictly between a and b.
+_Chart = tuple[float, float, bool, float, float]
 
 
 def _gk15_panel(
@@ -79,10 +80,15 @@ def _gk15_panel(
 
     Raises ConvergenceError when any of them is not finite.
     """
-    base, width, cubic = chart
+    base, width, cubic, first, last = chart
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     ss = [mid + half * node for node in _NODES]
-    cols = columns([base + width * (s * s * s if cubic else s) for s in ss])
+    xs = [base + width * (s * s * s if cubic else s) for s in ss]
+    if min(xs) < first or max(xs) > last:
+        # A node within half an ulp of a or b rounds onto it, as width * s^3 does
+        # after a few dozen halvings toward a singular end: move it a float inside.
+        xs = [min(max(x, first), last) for x in xs]
+    cols = columns(xs)
     if cubic:  # |dx/ds| = 3 |width| s^2 scales each value
         jac = [3.0 * s * s for s in ss]
         cols = [list(map(mul, jac, col)) for col in cols]
@@ -117,24 +123,25 @@ def _integrate(
 
     Returns (integral per component, error estimate, subdivisions).
     """
-    # A finite b - a also keeps every node finite.
-    if not (a < b and math.isfinite(b - a)):
+    # A finite b - a also keeps every node finite; the nodes need a float between a and b.
+    if not (a < b and math.isfinite(b - a) and math.nextafter(a, b) < b):
         raise DomainError(
-            f"integration bounds must satisfy a < b with finite b - a, got {a!r}, {b!r}"
+            "integration bounds must satisfy a < b with finite b - a and a float between "
+            f"them, got {a!r}, {b!r}"
         )
     # NaN would end refinement at once, and True would run at tol 1.
     if isinstance(tol, bool) or not tol >= _MIN_TOL:
         raise DomainError(f"tolerance must be a number >= {_MIN_TOL:g}, got {tol!r}")
     max_panels = as_order(max_panels, 1, math.inf, "max_panels")
 
-    span = b - a
-    charts: tuple[_Chart, ...] = ((a, span, False),)
+    span, inside = b - a, (math.nextafter(a, b), math.nextafter(b, a))
+    charts: tuple[_Chart, ...] = ((a, span, False, *inside),)
     if flags.lower_singular and flags.upper_singular:
-        charts = ((a, 0.5 * span, True), (b, -0.5 * span, True))
+        charts = ((a, 0.5 * span, True, *inside), (b, -0.5 * span, True, *inside))
     elif flags.lower_singular:
-        charts = ((a, span, True),)
+        charts = ((a, span, True, *inside),)
     elif flags.upper_singular:
-        charts = ((b, -span, True),)
+        charts = ((b, -span, True, *inside),)
     heap: list[tuple[float, int, float, float, tuple[float, ...], _Chart]] = []
     counter = panels = 0
     total_err = 0.0
@@ -178,9 +185,10 @@ def integrate(
     """Adaptively integrate f over (a, b) to absolute tolerance ``tol``.
 
     The integrand must be evaluable on the open interval; it is never
-    called at a or b.  Raises ConvergenceError if ``max_panels`` panels do
-    not bring the error estimate under ``tol``, or if a panel's value or
-    error estimate is not finite.
+    called at a or b.  Raises DomainError unless a < b, b - a is finite and
+    a float lies strictly between them.  Raises ConvergenceError if
+    ``max_panels`` panels do not bring the error estimate under ``tol``, or
+    if a panel's value or error estimate is not finite.
     """
     (value,), err, panels = _integrate(lambda xs: ([*map(f, xs)],), a, b, tol, flags, max_panels)
     return QuadResult(value=value, abs_error_estimate=err, subdivisions=panels)

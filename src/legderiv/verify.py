@@ -28,11 +28,11 @@ import math
 import numbers
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .exceptions import DomainError
 from .oracle import ode_residuals, order_derivatives
-from .orderderiv import _first_integrals, _frak_I
+from .orderderiv import _first_integral_displays, _first_integral_kernel, _frak_I
 from .orderderiv import (
     _PI4,
     _closed_form,
@@ -45,7 +45,7 @@ from .orderderiv import (
     dilog_reflection,
     trilog_identity,
 )
-from .polylog import _li234, _zeta_tail, as_order, polylog, trigamma, zeta_const
+from .polylog import _zeta_tail, as_order, polylog, trigamma, zeta_const
 from .quadrature import EndpointFlag, integrate
 
 __all__ = [
@@ -79,8 +79,8 @@ _DEFAULT_TOLS: dict[str, float] = {
     "ode_n3": 1e-11,
     "ode_n4": 1e-11,
     "identities": 1e-12,
-    "first_integral": 1e-7,
-    "antiderivative": 1e-7,
+    "first_integral": 1e-12,
+    "antiderivative": 1e-11,
     "inner_integral_quad": 1e-8,
     "frak_quad": 1e-7,
     "frak_limits": 1e-12,
@@ -204,14 +204,6 @@ def _result(
     )
 
 
-def _slopes(fn: Callable[[float], tuple[float, ...]], x: float) -> tuple[float, ...]:
-    # The fourth-order central first difference of every component of fn, on
-    # x +- h and x +- 2h, its step h scaled by max(1, |x|).
-    h = 5e-6 * max(1.0, abs(x))
-    points = fn(x + h), fn(x - h), fn(x + 2.0 * h), fn(x - 2.0 * h)
-    return tuple((8.0 * (a - b) - (c - d)) / (12.0 * h) for a, b, c, d in zip(*points))
-
-
 # --- closed forms vs. the nu-derivative oracle ----------------------------
 
 
@@ -301,21 +293,31 @@ def check_identities(
 # --- antiderivative displays (treated as hypotheses) -----------------------
 
 
-def _t_displays(x: float) -> tuple[float, float, float, float]:
+# The complex step: a kernel value v with slope d enters a display as v + i H d,
+# and each row's slope is its imaginary part over H.  The displays take only +, -
+# and *, so the imaginary parts carry the slopes as dual numbers would, with the H^2
+# terms far below half an ulp of the real parts (Squire & Trapp, SIAM Rev. 40, 1998;
+# Martins, Sturdza & Alonso, ACM TOMS 29, 2003).
+_H = 2.0**-60
+
+
+def _complex_step(display: Callable, values: Sequence[float], slopes: Sequence[float]) -> list[float]:
+    stepped = [complex(v, _H * d) for v, d in zip(values, slopes)]
+    return [row.imag / _H for row in display(*stepped)]
+
+
+def _t_displays(x: complex, lx: complex, lu: complex, *k: complex) -> tuple[complex, ...]:
     # The Li_4 Landen, Li_2(t)^2 and log-squares antiderivatives and the frak_I
-    # variant (+2 ln(t) Li_3(t)), one per row, from one _li234 at each of t, 1 - t
-    # and t/(t - 1).
-    lx, lu = math.log(x), math.log1p(-x)
-    kx, ku, kw = _li234(x), _li234(1.0 - x), _li234(x / (x - 1.0))
-    li2x, li3x, li4x = kx
-    li2u, li3u, li4u = ku
-    li2w, li3w, li4w = kw
-    li4_landen = -0.5 * li2w**2 + x * li4w + lu * li3w
+    # variant (+2 ln(t) Li_3(t)), one per row, over x, ln x, ln(1 - x) and
+    # (Li_2, Li_3, Li_4) at x, 1 - x and x/(x - 1); only +, - and *, as _frak_I.
+    li2x, li3x, li4x, li2u, li3u, li4u, li2w, li3w, li4w = k
+    lu2, lx2 = lu * lu, lx * lx
+    li4_landen = -0.5 * li2w * li2w + x * li4w + lu * li3w
     li2_squared = (
         -2.0
         + 6.0 * x
         + 6.0 * (1.0 - x - math.pi**2 / 9.0) * lu
-        - 2.0 * (1.0 - x - lx) * lu * lu
+        - 2.0 * (1.0 - x - lx) * lu2
         - 2.0 * (x - (1.0 + x) * lu) * li2x
         + x * li2x * li2x
         + 4.0 * li3u
@@ -324,17 +326,17 @@ def _t_displays(x: float) -> tuple[float, float, float, float]:
         -4.0
         + 24.0 * x
         + 12.0 * (1.0 - x) * lu
-        - 2.0 * (1.0 - x) * lu * lu
-        - 0.5 * lu**4
+        - 2.0 * (1.0 - x) * lu2
+        - 0.5 * lu2 * lu2
         - 12.0 * x * lx
         - 4.0 * (1.0 - 2.0 * x) * lu * lx
-        - 2.0 * x * lu * lu * lx
-        + 2.0 * lu**3 * lx
-        + (2.0 - lu * lu) * lx * lx
-        - (1.0 - x) * (2.0 - 2.0 * lu + lu * lu) * lx * lx
-        + (4.0 - 4.0 * lu + 2.0 * lu * lu) * li2u
-        - (4.0 - 4.0 * lx + 2.0 * lx * lx) * li2x
-        - (2.0 * lu * lu - 4.0 * lu * lx + 2.0 * lx * lx) * li2w
+        - 2.0 * x * lu2 * lx
+        + 2.0 * lu2 * lu * lx
+        + (2.0 - lu2) * lx2
+        - (1.0 - x) * (2.0 - 2.0 * lu + lu2) * lx2
+        + (4.0 - 4.0 * lu + 2.0 * lu2) * li2u
+        - (4.0 - 4.0 * lx + 2.0 * lx2) * li2x
+        - (2.0 * lu2 - 4.0 * lu * lx + 2.0 * lx2) * li2w
         - 4.0 * (1.0 - lx) * li3x
         + 4.0 * (1.0 - lu) * li3u
         + 4.0 * (lx - lu) * li3w
@@ -342,7 +344,28 @@ def _t_displays(x: float) -> tuple[float, float, float, float]:
         - 4.0 * li4x
         - 4.0 * li4w
     )
-    return li4_landen, li2_squared, log_squares, _frak_I(lx, lu, kx, ku, kw) + 4.0 * lx * li3x
+    return li4_landen, li2_squared, log_squares, _frak_I(lx, lu, *k) + 4.0 * lx * li3x
+
+
+def _t_kernel(x: float) -> tuple[list[float], list[float]]:
+    # _t_displays' arguments at x and their slopes: d Li_s(y) = Li_{s-1}(y) d ln y,
+    # where Li_1 is -ln(1 - x), -ln x and ln(1 - x) at x, 1 - x and x/(x - 1).
+    lx, lu = math.log(x), math.log1p(-x)
+    dx, du = 1.0 / x, -1.0 / (1.0 - x)
+    values, slopes = [x, lx, lu], [1.0, dx, du]
+    for y, li1, dlog in ((x, -lu, dx), (1.0 - x, -lx, du), (x / (x - 1.0), lu, dx - du)):
+        lis = [li1] + [polylog(s, y) for s in (2, 3, 4)]
+        values += lis[1:]
+        slopes += [li * dlog for li in lis[:3]]
+    return values, slopes
+
+
+def _z_kernel(z: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    # _first_integral_displays' arguments at z in (-1, 1) and their slopes: d ln t =
+    # 1/(1 + z), d ln u = -1/(1 - z), Li_1(t) = -ln u and Li_1(u) = -ln t.
+    lt, _, li1t, li2t, _, li2u = kernel = _first_integral_kernel(z)
+    dt, du = 1.0 / (1.0 + z), -1.0 / (1.0 - z)
+    return (z, *kernel), (1.0, dt, du, -du, li1t * dt, li2t * dt, -lt * du)
 
 
 def _frak_integrand(t: float) -> float:
@@ -355,8 +378,9 @@ def check_appendix_a(
 ) -> list[CheckResult]:
     """Differentiate-and-compare checks for the first integrals and the three long
     antiderivative displays, plus the inner-integral cancellation.  Each display is
-    written once, in a family whose rows ``_slopes`` differentiates together:
-    ``orderderiv._first_integrals`` or ``_t_displays``, one call per stencil point."""
+    written once, in a family of formulas over kernel values:
+    ``orderderiv._first_integral_displays`` or ``_t_displays``.  One complex-step
+    evaluation of a family per point gives its rows' slopes."""
     tols = resolve_tolerances(tol_overrides)
     rng = random.Random(seed)
     zs = [rng.uniform(-0.9, 0.97) for _ in range(50)]
@@ -364,7 +388,7 @@ def check_appendix_a(
     results = []
 
     # Against P1, P2, P3, P3, P3 from p_derivs, which is p_deriv bit for bit.
-    z_slopes = [_slopes(_first_integrals, z) for z in zs]
+    z_slopes = [_complex_step(_first_integral_displays, *_z_kernel(z)) for z in zs]
     z_targets = [p_derivs(z) for z in zs]
     for eta in (1, 2):
         devs = [abs(s[eta - 1] - p[eta]) for s, p in zip(z_slopes, z_targets)]
@@ -387,15 +411,18 @@ def check_appendix_a(
         row = f"first-integral-3-li{order}"
         results.append(_result(row, devs, 1.0, tols, "first_integral", note=note, required=False))
 
-    t_slopes = [_slopes(_t_displays, x) for x in ts]
-    anti_rows = (
-        ("antiderivative-li4-landen", lambda x: polylog(4, x / (x - 1.0)), True),
-        ("antiderivative-li2-squared", lambda x: polylog(2, x) ** 2, False),
-        ("antiderivative-log-squares", lambda x: (math.log(x) * math.log1p(-x)) ** 2, True),
-    )
-    for k, (name, target, required) in enumerate(anti_rows):
-        devs = [abs(slopes[k] - target(x)) for slopes, x in zip(t_slopes, ts)]
-        results.append(_result(name, devs, 1.0, tols, "antiderivative", required=required))
+    # Each row's target from the kernel of its point: Li_4(x/(x - 1)), Li_2(x)^2,
+    # (ln x ln(1 - x))^2 and the frak_I integrand ln(x) Li_2(x)/(1 - x).
+    t_rows = []
+    for x in ts:
+        values, slopes = _t_kernel(x)
+        _, lx, lu, li2x, *_, li4w = values
+        targets = li4w, li2x**2, (lx * lu) ** 2, lx * li2x / (1.0 - x)
+        t_rows.append((_complex_step(_t_displays, values, slopes), targets))
+    for k, name in enumerate(("li4-landen", "li2-squared", "log-squares")):
+        devs = [abs(slopes[k] - targets[k]) for slopes, targets in t_rows]
+        row = f"antiderivative-{name}"
+        results.append(_result(row, devs, 1.0, tols, "antiderivative", required=k != 1))
 
     def integrand(zz: float) -> float:
         p = p_derivs(zz)
@@ -409,8 +436,7 @@ def check_appendix_a(
         lo, flags = z, EndpointFlag()
     results.append(_result("inner-integral-cancellation", devs, 1.0, tols, "inner_integral_quad"))
 
-    a = 2.0**-20
-    b = 1.0 - 2.0**-20
+    a, b = 2.0**-20, 1.0 - 2.0**-20
     q = integrate(_frak_integrand, a, b, tol=1e-10, flags=EndpointFlag(True, True))
     devs = [abs(q.value - (frak_I(b) - frak_I(a)))]
     results.append(_result("frak-I-quadrature", devs, 1.0, tols, "frak_quad"))
@@ -418,22 +444,14 @@ def check_appendix_a(
     # Report-only: the antiderivative display variant whose 2 ln(t) Li_3(t)
     # term carries a plus sign is NOT an antiderivative of the integrand;
     # its derivative defect is 4 d/dt[ln(t) Li_3(t)].  Measured, not hidden.
-    devs = [abs(slopes[3] - _frak_integrand(x)) for slopes, x in zip(t_slopes, ts)]
-    results.append(
-        _result(
-            "frak-I-display-variant",
-            devs,
-            1.0,
-            tols,
-            "antiderivative",
-            note=(
-                "the +2 ln(t) Li3(t) sign variant fails differentiate-and-compare; "
-                "the implemented minus sign passes (see frak-I-quadrature) and leaves "
-                "both endpoint limits unchanged"
-            ),
-            required=False,
-        )
+    devs = [abs(slopes[3] - targets[3]) for slopes, targets in t_rows]
+    note = (
+        "the +2 ln(t) Li3(t) sign variant fails differentiate-and-compare; "
+        "the implemented minus sign passes (see frak-I-quadrature) and leaves "
+        "both endpoint limits unchanged"
     )
+    row = "frak-I-display-variant"
+    results.append(_result(row, devs, 1.0, tols, "antiderivative", note=note, required=False))
 
     # Report-only: the fourth-derivative bracket without its +pi^4/36
     # constant, measured against the oracle the same way the closed form is.

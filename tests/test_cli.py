@@ -1,5 +1,6 @@
 """CLI contract: formatting, exit codes, deterministic bytes."""
 
+import hashlib
 import json
 import math
 
@@ -158,6 +159,16 @@ class TestTable:
             z = float(z_text)
             assert cells == [repr(p_deriv(int(name[1:]), z)) for name in names], z
 
+    def test_ci_spec_bytes_are_pinned(self, runner):
+        """sha256 of the CI workflow's table spec, recorded with CPython 3.11.7 on
+        glibc 2.36 (x86-64); another libm may round math.log in the last bit."""
+        result = runner.invoke(
+            main, ["table", "--z-start", "-0.99", "--z-end", "1", "--steps", "2001"]
+        )
+        assert result.exit_code == 0
+        digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+        assert digest == "e9121fff67b07e3a7d0727863ec207ee8df8a4368195ba77d81d910766f4cc31"
+
     def test_output_file(self, runner, tmp_path):
         target = tmp_path / "grid.csv"
         result = runner.invoke(
@@ -196,9 +207,12 @@ class TestVerify:
         assert doc["all_passed"] is True
 
     def test_tight_fd_tolerance_exits_one(self, runner):
-        result = runner.invoke(main, ["verify", "--tol-fd", "1e-12"])
+        result = runner.invoke(main, ["verify", "--tol-fd", "1e-14"])
         assert result.exit_code == 1
         assert "tolerance-bound" in result.output
+        # 1e-12 is above every row's rounding floor
+        result = runner.invoke(main, ["verify", "--tol-fd", "1e-12"])
+        assert result.exit_code == 0, result.output
 
     def test_bad_flag_exits_two(self, runner):
         result = runner.invoke(main, ["verify", "--tol-fd", "not-a-number"])
@@ -221,6 +235,14 @@ class TestSumTrigamma:
         assert f"{reference:.10g}" == "1.894065659"
         deviation = float(lines[2].split()[1])
         assert deviation <= 1e-9
+
+    def test_ci_text_is_pinned(self, runner):
+        # the CI workflow's sum-trigamma step prints exactly this
+        result = runner.invoke(main, ["sum-trigamma", "10000"])
+        assert result.exit_code == 0
+        assert result.stdout == (
+            "sum 1.89406565899449\nreference 1.89406565899449\ndeviation 2.220446e-16\n"
+        )
 
     def test_naive_small_k(self, runner):
         result = runner.invoke(main, ["sum-trigamma", "10", "--no-accelerate"])

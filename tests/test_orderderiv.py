@@ -77,10 +77,15 @@ def mpmath_order_derivatives(z):
         return list(mp.diffs(lambda nu: mp.legenp(nu, 0, mp.mpf(z), type=2), 0, 4))
 
 
-def central_derivative(fn, x, h=1e-5):
-    d1 = (fn(x + h) - fn(x - h)) / (2.0 * h)
-    d2 = (fn(x + h / 2) - fn(x - h / 2)) / h
-    return (4.0 * d2 - d1) / 3.0
+def excess_over_gaps(fn, integrand, xs):
+    # (fn(b) - fn(a) - int_a^b integrand, b - a) on each gap of the sorted xs: the
+    # excess is 0 where fn is an antiderivative of the integrand and c (b - a) where
+    # fn's slope exceeds it by a constant c, with no step size
+    xs = sorted(float(x) for x in xs)
+    return [
+        (fn(b) - fn(a) - integrate(integrand, a, b, tol=1e-13).value, b - a)
+        for a, b in zip(xs, xs[1:])
+    ]
 
 
 class TestPDeriv:
@@ -262,13 +267,9 @@ class TestInnerIntegral:
             assert rel <= (1e-15 if z >= 0.0 else 1e-14), (z, rel)
 
     def test_derivative_is_p3_plus_3p2(self):
-        rng = np.random.default_rng(5)
-        for z in rng.uniform(-0.9, 0.99, size=50):
-            z = float(z)
-            derivative = central_derivative(inner_integral_I, z)
-            assert derivative == pytest.approx(
-                p_deriv(3, z) + 3.0 * p_deriv(2, z), abs=1e-7, rel=1e-7
-            )
+        zs = np.random.default_rng(5).uniform(-0.9, 0.99, size=50)
+        gaps = excess_over_gaps(inner_integral_I, lambda z: p_deriv(3, z) + 3.0 * p_deriv(2, z), zs)
+        assert max(abs(excess) for excess, _ in gaps) <= 1e-13
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -283,12 +284,9 @@ class TestFrakI:
         assert frak_I(0.25) == pytest.approx(-2.237522686233043236563, abs=1e-13)
 
     def test_derivative_matches_integrand(self):
-        rng = np.random.default_rng(9)
-        for t in rng.uniform(0.05, 0.95, size=50):
-            t = float(t)
-            derivative = central_derivative(frak_I, t)
-            target = math.log(t) * polylog(2, t) / (1.0 - t)
-            assert derivative == pytest.approx(target, abs=1e-7, rel=1e-7)
+        ts = np.random.default_rng(9).uniform(0.05, 0.95, size=50)
+        gaps = excess_over_gaps(frak_I, lambda t: math.log(t) * polylog(2, t) / (1.0 - t), ts)
+        assert max(abs(excess) for excess, _ in gaps) <= 1e-13
 
     def test_quadrature_consistency(self):
         res = integrate(
@@ -348,11 +346,9 @@ class TestFirstIntegrals:
 
     @pytest.mark.parametrize("eta", [1, 2])
     def test_derivative_matches_p(self, eta):
-        rng = np.random.default_rng(13)
-        for z in rng.uniform(-0.9, 0.97, size=50):
-            z = float(z)
-            derivative = central_derivative(lambda zz: first_integral(eta, zz), z)
-            assert derivative == pytest.approx(p_deriv(eta, z), abs=1e-7, rel=1e-7)
+        zs = np.random.default_rng(13).uniform(-0.9, 0.97, size=50)
+        gaps = excess_over_gaps(lambda z: first_integral(eta, z), lambda z: p_deriv(eta, z), zs)
+        assert max(abs(excess) for excess, _ in gaps) <= 1e-13
 
     def test_eta2_difference_matches_quadrature(self):
         res = integrate(lambda zz: p_deriv(2, zz), -0.5, 0.8, tol=1e-11)
@@ -363,24 +359,20 @@ class TestFirstIntegrals:
     def test_eta3_derivative_offset_is_constant(self):
         # as printed (with the ambiguous polylogarithm read as Li_2), the
         # derivative exceeds P3 by exactly 24 zeta(3); measured, not assumed
-        rng = np.random.default_rng(17)
-        offsets = []
-        for z in rng.uniform(-0.9, 0.97, size=25):
-            z = float(z)
-            derivative = central_derivative(lambda zz: first_integral(3, zz), z)
-            offsets.append(derivative - p_deriv(3, z))
+        zs = np.random.default_rng(17).uniform(-0.9, 0.97, size=25)
+        gaps = excess_over_gaps(lambda z: first_integral(3, z), lambda z: p_deriv(3, z), zs)
+        offsets = [excess / width for excess, width in gaps]
         expected = 24.0 * zeta_const(3)
-        assert max(offsets) - min(offsets) <= 1e-5
-        assert sum(offsets) / len(offsets) == pytest.approx(expected, abs=1e-6)
+        assert max(offsets) - min(offsets) <= 1e-9
+        assert sum(offsets) / len(offsets) == pytest.approx(expected, abs=1e-9)
 
     def test_eta3_other_orders_are_z_dependent(self):
-        zs = (-0.6, 0.0, 0.7)
+        zs = (-0.6, -0.5, 0.0, 0.1, 0.7, 0.8)
         for order in (1, 3):
-            offsets = [
-                central_derivative(lambda zz: first_integral(3, zz, li_order=order), z)
-                - p_deriv(3, z)
-                for z in zs
-            ]
+            gaps = excess_over_gaps(
+                lambda z: first_integral(3, z, li_order=order), lambda z: p_deriv(3, z), zs
+            )
+            offsets = [excess / width for excess, width in gaps]
             assert max(offsets) - min(offsets) > 0.1
 
     def test_eta3_finite_at_one(self):
@@ -409,7 +401,8 @@ class TestFirstIntegrals:
     def test_each_display_is_an_element_of_the_family(self):
         zs = [-1.0 + 2.0**-53, -0.5, 0.0, 0.3, 1.0 - 2.0**-53, 1.0]
         for z in zs:
-            family = [v.hex() for v in orderderiv._first_integrals(z)]
+            kernel = orderderiv._first_integral_kernel(z)
+            family = [v.hex() for v in orderderiv._first_integral_displays(z, *kernel)]
             displays = [first_integral(1, z).hex(), first_integral(2, z).hex()]
             displays += [first_integral(3, z, li_order=order).hex() for order in (1, 2, 3)]
             assert displays == family, z

@@ -66,6 +66,37 @@ class TestSingularEndpoints:
         assert res.value == pytest.approx(2.0, abs=1e-9)
 
 
+    @pytest.mark.parametrize("a", [-1.0, 0.0])
+    @pytest.mark.parametrize("both", [False, True], ids=["lower", "both"])
+    @pytest.mark.parametrize("length", [0.1, 0.3, 1.0])
+    def test_nodes_stay_strictly_inside(self, a, both, length):
+        # at tol 1e-13 the cubic chart halves its end panel until width * s^3 falls
+        # below half an ulp of a; such a node must still lie strictly inside (a, b)
+        b = a + length
+        nodes = []
+
+        def f(x):
+            nodes.append(x)
+            return math.log(x - a) + (math.log(b - x) if both else 0.0)
+
+        flags = EndpointFlag(lower_singular=True, upper_singular=both)
+        res = integrate(f, a, b, tol=1e-13, flags=flags)
+        assert a < min(nodes) and max(nodes) < b
+        exact = (2.0 if both else 1.0) * length * (math.log(length) - 1.0)
+        assert res.value == pytest.approx(exact, abs=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("both", [False, True], ids=["lower", "both"])
+    @pytest.mark.parametrize("b", [-0.9, -0.7, 0.0])
+    def test_singular_p_derivs_from_minus_one(self, n, both, b):
+        # P1 and P3 diverge like ln(1 + z) at -1, where p_derivs raises
+        from legderiv import p_derivs
+
+        flags = EndpointFlag(lower_singular=True, upper_singular=both)
+        res = integrate(lambda z: p_derivs(z)[n], -1.0, b, tol=1e-13, flags=flags)
+        assert res.abs_error_estimate <= 1e-13 and res.subdivisions <= 40
+
+
 class TestFrakIntegrand:
     def test_matches_antiderivative_difference(self):
         from legderiv import frak_I, polylog
@@ -82,6 +113,9 @@ class TestContracts:
             integrate(lambda x: x, 1.0, 0.0)
         with pytest.raises(DomainError):
             integrate(lambda x: x, 1.0, 1.0)
+        # no float lies strictly between adjacent floats, so no node can
+        with pytest.raises(DomainError):
+            integrate(lambda x: x, 1.0, math.nextafter(1.0, 2.0))
         # infinite bounds, or a span that overflows, would hand x = inf to f
         for a, b in ((0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308)):
             with pytest.raises(DomainError):

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import math
-import random
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from legderiv import (
     trigamma_sum_target,
 )
 from legderiv import oracle, orderderiv, polylog, verify
-from legderiv.verify import _slopes, resolve_tolerances
+from legderiv.verify import _complex_step, _t_kernel, _z_kernel, resolve_tolerances
 
 # The report schema: every check id in report order, with its required flag.
 # Dropping, renaming or reordering a check means editing this list.
@@ -85,9 +84,9 @@ class TestSuite:
     @pytest.mark.parametrize(
         "seed,sha256",
         [
-            (20140412, "2c13d32eb09555253fb1d0f1cfed667823a0a23a7826dbccf5eca375748be96d"),
-            (2718, "f13300c9a244f38cb18f120a77bc5fdfccc1f942b0831ebcf0059b86f013b4ac"),
-            (6113, "e2af670f981f6c1410ff6d0ccacacdcd53e83eb56313f4924f75b628740e9699"),
+            (20140412, "1bac78ef66f5ca4faa1cbd1cf99c99f7deb5677271ff6f4e321b04d4788a8f5f"),
+            (2718, "72afe1609761219220a78371cceb6a6110c86662bf6b9c60c571e5e2402a80eb"),
+            (6113, "b50046d70886976d478f6c28ea7b2eaa97815857bc4f1efd2176d9e5d988a201"),
         ],
         ids=["20140412", "2718", "6113"],
     )
@@ -95,8 +94,8 @@ class TestSuite:
         """sha256 of run_suite(seed).to_json(), recorded with CPython 3.11.7
         on glibc 2.36 (x86-64).
 
-        A change that moves any report byte, such as a reordered stencil
-        quotient, fails here. Another libm may round math.log or math.log1p
+        A change that moves any report byte, such as a reordered term in a
+        display, fails here. Another libm may round math.log or math.log1p
         differently in the last bit and so move a deviation without any
         change to the code.
         """
@@ -130,22 +129,12 @@ class TestSuite:
             for k in keys
         )
 
-    @pytest.mark.parametrize("seed", [verify.DEFAULT_SEED, 6007])
-    def test_fused_polylog_keeps_report_bits(self, monkeypatch, seed):
-        # frak_I, the closed forms, the first integrals and the antiderivative
-        # displays take (Li_2, Li_3, Li_4) from one fused pass; with one
-        # polylog call per order instead, the report keeps every byte.
-        fused = run_suite(seed=seed).to_json()
-        for module in (orderderiv, verify):
-            monkeypatch.setattr(module, "_li234", lambda x: tuple(polylog(s, x) for s in (2, 3, 4)))
-        assert run_suite(seed=seed).to_json() == fused
-
     def test_tightened_fd_tolerance_flags_floor(self):
-        tight = run_suite(tol_overrides={"fd": 1e-12})
+        tight = run_suite(tol_overrides={"fd": 1e-14})
         assert not tight.all_passed
         failures = [r for r in tight.results if r.required and not r.passed]
         assert failures
-        # every failure is the finite-difference floor, not a wrong formula
+        # every failure is the rounding floor, not a wrong formula
         for r in failures:
             assert "tolerance-bound" in r.note
             assert r.max_abs_dev <= resolve_tolerances(None)[_default_key(r.id)]
@@ -269,16 +258,16 @@ class TestIndividualChecks:
     def test_appendix_a_li2_squared_form_measured_good(self):
         # the display checks out numerically even though it is report-only
         rows = {r.id: r for r in check_appendix_a()}
-        assert rows["antiderivative-li2-squared"].max_abs_dev <= 1e-7
+        assert rows["antiderivative-li2-squared"].max_abs_dev <= 1e-11
 
     def test_li4_antiderivative_slope_at_half(self):
         # at t = 1/2 the Landen argument is exactly -1, so the derivative of
         # the antiderivative must equal Li_4(-1) = -7 pi^4/720
         from legderiv import polylog
 
-        slope = _slopes(verify._t_displays, 0.5)[0]
-        assert slope == pytest.approx(-7.0 * math.pi**4 / 720.0, abs=1e-7)
-        assert slope == pytest.approx(polylog(4, -1.0), abs=1e-7)
+        slope = _complex_step(verify._t_displays, *_t_kernel(0.5))[0]
+        assert slope == pytest.approx(-7.0 * math.pi**4 / 720.0, abs=1e-11)
+        assert slope == pytest.approx(polylog(4, -1.0), abs=1e-11)
 
     def test_appendix_a_display_variant_findings(self):
         rows = {r.id: r for r in check_appendix_a()}
@@ -385,70 +374,59 @@ class TestTrigammaSum:
         assert trigamma_sum(np.int64(50)) == trigamma_sum(50)
 
 
-class TestDerivative:
-    @pytest.mark.parametrize("x", [0.3, 2.5])
-    def test_exact_on_quartics(self, x):
-        # the five-point stencil differentiates degree-4 polynomials exactly
-        def quartic(t):
-            return 3.0 * t**4 - 2.0 * t**3 + t**2 - 5.0 * t + 7.0
-
-        exact = 12.0 * x**3 - 6.0 * x**2 + 2.0 * x - 5.0
-        assert _slopes(lambda t: (quartic(t),), x)[0] == pytest.approx(exact, rel=1e-8)
-
-
-def _family_points(lo, hi, ends):
-    rng = random.Random(1604)
-    return [rng.uniform(lo, hi) for _ in range(60)] + list(ends)
-
-
-# t = 1/2 puts t/(t - 1) at -1, where inversion starts; a stencil (h = 5e-6) about a
-# point within 1e-5 of 1/2 straddles it.
-T_POINTS = _family_points(0.05, 0.95, (0.05, 0.95, 0.5, 0.5 + 7e-6, 0.5 - 3e-6)) + [
-    math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)
-]
-Z_POINTS = _family_points(-0.9, 0.97, (-0.9, 0.97, 0.0, -1e-5, 0.5))
-
-
 class TestDisplayFamilies:
-    """One evaluation per stencil point for each family of check_appendix_a's rows."""
+    """One complex-step evaluation per point for each family of check_appendix_a's rows."""
 
-    @pytest.mark.parametrize(
-        "family,points,digest",
-        [
-            (verify._t_displays, T_POINTS,
-             "dbbf119d08db7f3e35ce57c08b1a89cde8d3332561617024784b76778b752a06"),
-            (orderderiv._first_integrals, Z_POINTS,
-             "cd08dd325107925d860eeea4e24bc2b6b4e7edf996cdafdbacda539b3e099fc8"),
-        ],
-        ids=["t", "z"],
-    )
-    def test_components_and_slopes_are_the_rows_bits(self, family, points, digest):
-        """sha256 of the .hex() of each family's components and _slopes at every
-        point, recorded with CPython 3.11.7 on glibc 2.36 (x86-64) when each row
-        still had a scalar display of its own, which the family matched bit for bit.
+    @pytest.mark.parametrize("family", ["t", "z"])
+    def test_slopes_agree_with_mpmath_diff(self, family):
+        # the same display formulas, float constants and all, evaluated on 30-digit
+        # mpmath kernel values and differentiated by mpmath.diff; at t = 0.95 the
+        # frak_I variant's own cancellation costs 1.1e-13, so the t points stop at 0.9
+        mp = pytest.importorskip("mpmath")
 
-        A reordered term in any display fails here; another libm may round
-        math.log differently in the last bit and so move a row without any
-        change to the code.
-        """
-        text = "\n".join(" ".join(v.hex() for v in family(x) + _slopes(family, x)) for x in points)
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        def t_family(x):
+            k = [mp.polylog(s, y) for y in (x, 1 - x, x / (x - 1)) for s in (2, 3, 4)]
+            return verify._t_displays(x, mp.log(x), mp.log(1 - x), *k)
+
+        def z_family(z):
+            t, u = (1 + z) / 2, (1 - z) / 2
+            kernel = mp.log(t), mp.log(u), -mp.log(u), mp.polylog(2, t), mp.polylog(3, t)
+            return orderderiv._first_integral_displays(z, *kernel, mp.polylog(2, u))
+
+        if family == "t":
+            points, reference = (0.05, 0.3, 0.5, 0.77, 0.9), t_family
+            slopes = [_complex_step(verify._t_displays, *_t_kernel(x)) for x in points]
+        else:
+            points, reference = (-0.9, -0.3, 0.0, 0.6, 0.97), z_family
+            display = orderderiv._first_integral_displays
+            slopes = [_complex_step(display, *_z_kernel(z)) for z in points]
+        with mp.workdps(30):
+            for x, got in zip(points, slopes):
+                for k, slope in enumerate(got):
+                    ref = mp.diff(lambda y: reference(y)[k], mp.mpf(x))
+                    assert float(abs(slope - ref)) <= 1e-13 * max(1.0, abs(float(ref))), (x, k)
 
     def test_one_kernel_pass_per_shared_argument(self, monkeypatch):
-        # three fused passes per t-point and one per z-point, and no single-order
-        # Li_2..Li_4 call beside them but Li_1(t) and Li_2(u) of the z family
+        # one polylog call per (order, argument), and none for the slopes, which
+        # read Li_{s-1} off the kernel
         calls = []
-        li234 = verify._li234
         for module in (verify, orderderiv):
-            monkeypatch.setattr(module, "_li234", lambda x: calls.append("li234") or li234(x))
             monkeypatch.setattr(
-                module, "polylog", lambda s, x: calls.append(f"li{s}") or polylog(s, x)
+                module, "polylog", lambda s, x: calls.append((s, x)) or polylog(s, x)
             )
-        verify._t_displays(0.3)
-        assert calls == ["li234"] * 3
+        x = 0.3
+        kernel = _t_kernel(x)
+        assert sorted(calls) == sorted((s, y) for s in (2, 3, 4) for y in (x, 1.0 - x, x / (x - 1.0)))
         calls.clear()
-        orderderiv._first_integrals(0.3)
-        assert sorted(calls) == ["li1", "li2", "li234"]
+        _complex_step(verify._t_displays, *kernel)
+        assert calls == []
+        z = 0.3
+        t, u = 0.5 * (1.0 + z), 0.5 * (1.0 - z)
+        kernel = _z_kernel(z)
+        assert sorted(calls) == sorted([(1, t), (2, t), (3, t), (2, u)])
+        calls.clear()
+        _complex_step(orderderiv._first_integral_displays, *kernel)
+        assert calls == []
 
 
 class TestCheckResultType:
