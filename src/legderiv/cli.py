@@ -16,7 +16,7 @@ import click
 
 from . import __version__
 from .exceptions import ConvergenceError, DomainError
-from .orderderiv import p_deriv, p_derivs
+from .orderderiv import _row, p_deriv
 from .polylog import as_order
 from .verify import run_suite, trigamma_sum, trigamma_sum_target, DEFAULT_SEED, DEFAULT_SUM_TERMS
 
@@ -83,12 +83,12 @@ def _parse_orders(text: str) -> tuple[int, ...]:
 def render_table(spec: TableSpec) -> str:
     """Deterministic CSV/JSON rendering with shortest round-trip floats.
 
-    Each z is evaluated once, with p_derivs, whatever orders the spec asks for.
+    Each z, which the spec puts in (-1, 1], is evaluated once by p_derivs' unchecked door.
     """
     names = [f"P{n}" for n in spec.orders]
     rows = []
     for z in spec.grid():
-        values = p_derivs(z)
+        values = _row(z)
         rows.append((z, *[values[n] for n in spec.orders]))
     if spec.fmt == "csv":
         lines = [",".join(["z"] + names)]

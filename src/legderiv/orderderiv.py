@@ -22,8 +22,10 @@ once, on the piece, by ``polylog._recentred``; rows per piece, from u or t = 0 u
 
 ``polylog._piece`` picks the piece.  ``p_derivs(z)`` gives P0..P4 at one z
 from one Horner loop over one piece's tables side by side, and ``p_deriv(n, z)``
-is its element n.  The closed forms stay as ``_closed_form``, which the
-verification suite compares with the tables.
+is its element n.  ``p_derivs`` is the checked door to ``_row``, the unchecked
+one that p_deriv, inner_integral_I, tables and integrands call on z checked or
+built in range; the closed forms call ``polylog._polylog`` alike.  They stay as
+``_closed_form``, which the verification suite compares with the tables.
 
 The module also carries every intermediate closed form the P4 derivation
 runs through: the inner integral I(z) = (1+z) P3(z), the antiderivative
@@ -43,7 +45,7 @@ from __future__ import annotations
 import math
 
 from .exceptions import DomainError
-from .polylog import _MIDPOINTS, _SERIES_PIECES, _piece, _recentred, as_order, polylog, zeta_const
+from .polylog import _MIDPOINTS, _SERIES_PIECES, _piece, _polylog, _recentred, as_order, zeta_const
 
 __all__ = [
     "p_deriv",
@@ -137,7 +139,7 @@ def p_deriv(n: int, z: float) -> float:
     """
     n = as_order(n, 0, 4, "derivative order")
     z = _check_z(n, z)
-    return 1.0 if n == 0 else p_derivs(z)[n]
+    return 1.0 if n == 0 else _row(z)[n]
 
 
 def p_derivs(z: float) -> tuple[float, float, float, float, float]:
@@ -149,7 +151,11 @@ def p_derivs(z: float) -> tuple[float, float, float, float, float]:
     with one ln t.  Within 1e-15 relative on z >= 0 and for P1 and P2 on z < 0,
     and 1e-14 for P3 and P4 on z < 0.
     """
-    z = _check_z(1, z)
+    return _row(_check_z(1, z))
+
+
+def _row(z: float) -> tuple[float, float, float, float, float]:
+    # p_derivs' unchecked door, for a float z in (-1, 1] that is checked or built in range.
     if z >= 0.0:
         u = 0.5 * (1.0 - z)
         i = _piece(u)
@@ -188,27 +194,27 @@ def _closed_form(n: int, z: float) -> float:
     if n == 1:
         return math.log1p(-u) + 0.0 if u < 0.5 else math.log(t)  # +0.0 at z = 1
     if n == 2:
-        return -2.0 * polylog(2, u) + 0.0  # + 0.0 turns -0.0 into +0.0 at z = 1
+        return -2.0 * _polylog(2, u) + 0.0  # + 0.0 turns -0.0 into +0.0 at z = 1
     zeta3 = zeta_const(3)
     if n == 3:
         lt = math.log(t)
-        li2t = polylog(2, t)
-        return 12.0 * polylog(3, t) - 6.0 * lt * li2t - _PI2 * lt - 12.0 * zeta3
+        li2t = _polylog(2, t)
+        return 12.0 * _polylog(3, t) - 6.0 * lt * li2t - _PI2 * lt - 12.0 * zeta3
     # n == 4: the ln(1-t) powers blow up at t = 1 while their sum cancels,
     # so the normalization point returns exactly 0 instead of NaN.
     if t == 1.0:
         return 0.0
     lt = math.log(t)
     lu = math.log(u)
-    li2t = polylog(2, t)
+    li2t = _polylog(2, t)
     row1 = (
         0.5 * li2t * li2t
         - _PI2 / 6.0 * li2t
-        + 2.0 * polylog(4, t)
-        - 2.0 * polylog(4, u)
-        + 2.0 * lt * (polylog(3, u) - zeta3)
+        + 2.0 * _polylog(4, t)
+        - 2.0 * _polylog(4, u)
+        + 2.0 * lt * (_polylog(3, u) - zeta3)
     )
-    row2 = lu**4 / 12.0 + _PI2 / 6.0 * lu * lu + 2.0 * polylog(4, -t / u)
+    row2 = lu**4 / 12.0 + _PI2 / 6.0 * lu * lu + 2.0 * _polylog(4, -t / u)
     row3 = lt * lu * (li2t - _PI2 / 2.0 - lu * lu / 3.0 + lt * lu)
     # The +pi^4/36 completes the bracket so that it vanishes at t = 1,
     # which is what pins the overall constant to pi^4/15.
@@ -225,7 +231,7 @@ def inner_integral_I(z: float) -> float:
     outside the domain.
     """
     z = _check_z(1, z)
-    return (z + 1.0) * p_derivs(z)[3]
+    return (z + 1.0) * _row(z)[3]
 
 
 def frak_I(t: float) -> float:
@@ -240,7 +246,7 @@ def frak_I(t: float) -> float:
             f"frak_I is defined on the open interval (0, 1), got {t!r}; "
             "endpoint values are provided by frak_I_limit"
         )
-    k = [polylog(s, y) for y in (t, 1.0 - t, t / (t - 1.0)) for s in (2, 3, 4)]
+    k = [_polylog(s, y) for y in (t, 1.0 - t, t / (t - 1.0)) for s in (2, 3, 4)]
     return _frak_I(math.log(t), math.log1p(-t), *k)
 
 
@@ -298,8 +304,8 @@ def _first_integral_kernel(z: float) -> tuple[float, float, float, float, float,
     # Li_1(t) sit in vanishes at z = 1 and is within 4e-16 of the head at z = 1 - 2^-53,
     # where t rounds to 1 and Li_1(t) would diverge: zeros there return the head.
     t, u = 0.5 * (1.0 + z), 0.5 * (1.0 - z)
-    lu, li1t = (0.0, 0.0) if t == 1.0 else (math.log(u), polylog(1, t))
-    return math.log(t), lu, li1t, polylog(2, t), polylog(3, t), polylog(2, u)
+    lu, li1t = (0.0, 0.0) if t == 1.0 else (math.log(u), _polylog(1, t))
+    return math.log(t), lu, li1t, _polylog(2, t), _polylog(3, t), _polylog(2, u)
 
 
 def _first_integral_displays(z: complex, *kernel: complex) -> tuple[complex, ...]:
@@ -323,14 +329,14 @@ def _check_unit_interval(x: float) -> float:
 def dilog_reflection(x: float) -> float:
     """Residual of Li_2(1-x) + Li_2(x) - pi^2/6 + ln(x) ln(1-x); ~0 on (0,1)."""
     x = _check_unit_interval(x)
-    return polylog(2, 1.0 - x) + polylog(2, x) - _PI2 / 6.0 + math.log(x) * math.log1p(-x)
+    return _polylog(2, 1.0 - x) + _polylog(2, x) - _PI2 / 6.0 + math.log(x) * math.log1p(-x)
 
 
 def dilog_landen(x: float) -> float:
     """Residual of Li_2(x/(x-1)) + Li_2(x) + ln^2(1-x)/2; ~0 on (0,1)."""
     x = _check_unit_interval(x)
     lu = math.log1p(-x)
-    return polylog(2, x / (x - 1.0)) + polylog(2, x) + 0.5 * lu * lu
+    return _polylog(2, x / (x - 1.0)) + _polylog(2, x) + 0.5 * lu * lu
 
 
 def trilog_identity(x: float) -> float:
@@ -342,6 +348,6 @@ def trilog_identity(x: float) -> float:
     x = _check_unit_interval(x)
     lx = math.log(x)
     lu = math.log1p(-x)
-    lhs = polylog(3, x / (x - 1.0)) + polylog(3, 1.0 - x) + polylog(3, x) - zeta_const(3)
+    lhs = _polylog(3, x / (x - 1.0)) + _polylog(3, 1.0 - x) + _polylog(3, x) - zeta_const(3)
     rhs = _PI2 / 6.0 * lu - 0.5 * lx * lu * lu + lu**3 / 6.0
     return lhs - rhs

@@ -34,7 +34,8 @@ reaches 2^-57 of the least |f| there.  ``_piece(x)`` says which piece's table
 runs on [-1, 1/2], for polylog and orderderiv alike; above 1/2 it is
 floor(8v) + 8.  Inversion, the only branch that recurses, lands on a piece:
 every call takes at most one hop.  ``polylog`` is the package's one Li_s
-kernel: every caller takes one call per order and argument.
+kernel: every caller takes one call per order and argument.  ``polylog`` is its
+checked door and ``_polylog`` its unchecked one, for arguments checked or built.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ _ZETA2 = math.pi**2 / 6.0
 _ZETA3 = 1.20205690315959428539973816151
 _ZETA4 = 1.0823232337111381
 _ZETA5 = 1.03692775514336992633136548646
+_ZETA = {2: _ZETA2, 3: _ZETA3, 4: _ZETA4, 5: _ZETA5}
 
 # Bernoulli numbers B_2, B_4, ..., B_24.  The ln(x) expansion takes
 # zeta(1-2m) = -B_2m / (2m) from them, and trigamma the first six.
@@ -81,16 +83,8 @@ _BERNOULLI = (
 
 
 def zeta_const(s: int) -> float:
-    """Riemann zeta(s) for integer s in 2..5, correctly rounded to double."""
-    if s == 2:
-        return _ZETA2
-    if s == 3:
-        return _ZETA3
-    if s == 4:
-        return _ZETA4
-    if s == 5:
-        return _ZETA5
-    raise DomainError(f"zeta_const defined for s in 2..5, got {s!r}")
+    """Riemann zeta(s) for integer s in 2..5, correctly rounded; DomainError otherwise."""
+    return _ZETA[as_order(s, 2, 5, "zeta_const order")]
 
 
 def as_order(value: object, lo: int, hi: float, what: str) -> int:
@@ -224,20 +218,27 @@ def _inverted(s: int, recip: float, lgm: float) -> float:
 
 
 def _li(s: int, x: float) -> float:
-    # Li_s(x) for s in 2..5 and finite x < 1, as checked by polylog; inversion maps
+    # Li_s(x) for s in 2..5 and finite x < 1, with _horner's passes inline; inversion maps
     # x < -1 (1/x in (-1, 0)) into the pieces, so every call enters here at most twice.
+    total = 0.0
     if -1.0 <= x <= _SERIES_CUT:
         i = _piece(x)
-        return x * _horner(_SERIES_PIECES[s][i], x - _MIDPOINTS[i])
+        h = x - _MIDPOINTS[i]
+        for coeff in _SERIES_PIECES[s][i]:
+            total = total * h + coeff
+        return x * total
     if x > 0.0:
         # v = -ln x lies in the piece floor(8v) + 8 of [0, 3/4); b(v) is built up
         # from b = v for s = 2 by the factor -v/k.
         v = -math.log(x)
         i = math.floor(8.0 * v) + 8
+        h = v - _MIDPOINTS[i]
+        for coeff in _LOG_PIECES[s][i]:
+            total = total * h + coeff
         b = v
         for k in range(2, s):
             b *= -v / k
-        return _horner(_LOG_PIECES[s][i], v - _MIDPOINTS[i]) + math.log(v) * b
+        return total + math.log(v) * b
     return _inverted(s, _li(s, 1.0 / x), math.log(-x))
 
 
@@ -258,12 +259,17 @@ def polylog(s: int, x: float) -> float:
     x = float(x)
     if not -math.inf < x <= 1.0:
         raise DomainError(f"polylog requires finite x <= 1, got {x!r}")
+    if s == 1 and x == 1.0:
+        raise DomainError("Li_1(1) diverges")
+    return _polylog(s, x)
+
+
+def _polylog(s: int, x: float) -> float:
+    # polylog's unchecked door: an int s in 1..5 and a float x <= 1, (s, x) != (1, 1).
     if s == 1:
-        if x == 1.0:
-            raise DomainError("Li_1(1) diverges")
         return -math.log1p(-x)
     if x == 1.0:
-        return zeta_const(s)
+        return _ZETA[s]
     return _li(s, x)
 
 

@@ -9,10 +9,10 @@ One loop (``_integrate``) refines integrands of any number of components
 on shared nodes; a panel's error is its components' largest, so every
 component meets the tolerance.  ``integrate`` is its one-component call.
 
-Endpoints flagged as singular (integrable, logarithmic-type) get a cubic
-stretching x = a + (b-a) s^3 first, which turns ln-type behaviour into a
-bounded s^2 ln(s) profile the panel rule converges on quickly; it moves
-the nodes and scales the integrand's values by dx/ds.
+Endpoints flagged as singular (integrable, logarithmic-type) get a quintic
+stretching x = a + w s^5 (w = b - a) first, which turns ln-type behaviour into a
+bounded s^4 ln(s) profile: each halving toward the end gains 2^5 in x.  It moves
+the nodes and scales the integrand's values by dx/ds = 5 w s^4.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ class QuadResult:
     subdivisions: int
 
 
-# (base, width, cubic, first, last): s in (0, 1) maps to x = base + width s, or width s^3
-# if cubic; first and last are the least and the largest float strictly between a and b.
+# (base, width, quintic, first, last): s in (0, 1) maps to x = base + width s, or width s^5
+# if quintic; first and last are the least and the largest float strictly between a and b.
 _Chart = tuple[float, float, bool, float, float]
 
 
@@ -80,17 +80,17 @@ def _gk15_panel(
 
     Raises ConvergenceError when any of them is not finite.
     """
-    base, width, cubic, first, last = chart
+    base, width, quintic, first, last = chart
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     ss = [mid + half * node for node in _NODES]
-    xs = [base + width * (s * s * s if cubic else s) for s in ss]
+    xs = [base + width * (s * s * s * s * s if quintic else s) for s in ss]
     if min(xs) < first or max(xs) > last:
-        # A node within half an ulp of a or b rounds onto it, as width * s^3 does
-        # after a few dozen halvings toward a singular end: move it a float inside.
+        # A node within half an ulp of a or b rounds onto it, as width * s^5 does
+        # after a dozen or so halvings toward a singular end: move it a float inside.
         xs = [min(max(x, first), last) for x in xs]
     cols = columns(xs)
-    if cubic:  # |dx/ds| = 3 |width| s^2 scales each value
-        jac = [3.0 * s * s for s in ss]
+    if quintic:  # |dx/ds| = 5 |width| s^4 scales each value
+        jac = [5.0 * (s * s) * (s * s) for s in ss]
         cols = [list(map(mul, jac, col)) for col in cols]
     scale = half * abs(width)
     values, err = [], 0.0

@@ -31,21 +31,21 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .exceptions import DomainError
-from .oracle import ode_residuals, order_derivatives
+from .oracle import _ode_residuals, order_derivatives
 from .orderderiv import _first_integral_displays, _first_integral_kernel, _frak_I
 from .orderderiv import (
     _PI4,
     _closed_form,
+    _row,
     frak_I,
     frak_I_limit,
     inner_integral_I,
     p_deriv,
-    p_derivs,
     dilog_landen,
     dilog_reflection,
     trilog_identity,
 )
-from .polylog import _zeta_tail, as_order, polylog, trigamma, zeta_const
+from .polylog import _polylog, _zeta_tail, as_order, trigamma, zeta_const
 from .quadrature import EndpointFlag, integrate
 
 __all__ = [
@@ -226,10 +226,10 @@ def check_closed_forms(tol_overrides: Mapping[str, float] | None = None) -> list
         results.append(_result(f"closed-form-fd-n{n}", devs, scale, tols, f"fd_n{n}"))
 
     # Pointwise relative, so that the check is as tight near z = +-1 as at 0;
-    # p_derivs is p_deriv bit for bit, and is what render_table runs.
+    # p_derivs' unchecked door _row is p_deriv bit for bit, and is what render_table runs.
     devs = []
     for z in _TABLE_GRID:
-        values = p_derivs(z)
+        values = _row(z)
         devs += [abs(_closed_form(n, z) / values[n] - 1.0) for n in range(1, 5)]
     note = (
         "the P4 display loses 3-4 digits to cancellation for z >= 0.9 "
@@ -246,9 +246,9 @@ def check_closed_forms(tol_overrides: Mapping[str, float] | None = None) -> list
         tt = 0.5 * (1.0 + z)
         uu = 0.5 * (1.0 - z)
         composed = _PI4 / 15.0 + 24.0 * (
-            polylog(2, tt) ** 2
-            + 2.0 * math.log(uu) * (polylog(3, tt) - zeta_const(3))
-            + zeta_const(2) * polylog(2, uu)
+            _polylog(2, tt) ** 2
+            + 2.0 * math.log(uu) * (_polylog(3, tt) - zeta_const(3))
+            + zeta_const(2) * _polylog(2, uu)
             + frak_I(tt)
         )
         devs.append(abs(composed - _closed_form(4, z)))
@@ -268,7 +268,7 @@ def check_closed_forms(tol_overrides: Mapping[str, float] | None = None) -> list
 def check_quadrature_recurrence(tol_overrides: Mapping[str, float] | None = None) -> list[CheckResult]:
     """Residuals of the recurrence integrated twice (``ode_residuals``) on the grid, n = 1..4."""
     tols = resolve_tolerances(tol_overrides)
-    rows = zip(*map(ode_residuals, _ODE_GRID))
+    rows = zip(*_ode_residuals(_ODE_GRID))
     return [_result(f"ode-recurrence-n{n}", dev, 1.0, tols, f"ode_n{n}") for n, dev in enumerate(rows, 1)]
 
 
@@ -354,7 +354,7 @@ def _t_kernel(x: float) -> tuple[list[float], list[float]]:
     dx, du = 1.0 / x, -1.0 / (1.0 - x)
     values, slopes = [x, lx, lu], [1.0, dx, du]
     for y, li1, dlog in ((x, -lu, dx), (1.0 - x, -lx, du), (x / (x - 1.0), lu, dx - du)):
-        lis = [li1] + [polylog(s, y) for s in (2, 3, 4)]
+        lis = [li1] + [_polylog(s, y) for s in (2, 3, 4)]
         values += lis[1:]
         slopes += [li * dlog for li in lis[:3]]
     return values, slopes
@@ -370,7 +370,7 @@ def _z_kernel(z: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 def _frak_integrand(t: float) -> float:
     # ln(t) Li_2(t) / (1 - t), whose antiderivative is frak_I
-    return math.log(t) * polylog(2, t) / (1.0 - t)
+    return math.log(t) * _polylog(2, t) / (1.0 - t)
 
 
 def check_appendix_a(
@@ -387,9 +387,9 @@ def check_appendix_a(
     ts = [rng.uniform(0.05, 0.95) for _ in range(50)]
     results = []
 
-    # Against P1, P2, P3, P3, P3 from p_derivs, which is p_deriv bit for bit.
+    # Against P1, P2, P3, P3, P3 from p_derivs' unchecked door, p_deriv bit for bit.
     z_slopes = [_complex_step(_first_integral_displays, *_z_kernel(z)) for z in zs]
-    z_targets = [p_derivs(z) for z in zs]
+    z_targets = [_row(z) for z in zs]
     for eta in (1, 2):
         devs = [abs(s[eta - 1] - p[eta]) for s, p in zip(z_slopes, z_targets)]
         results.append(_result(f"first-integral-{eta}", devs, 1.0, tols, "first_integral"))
@@ -425,7 +425,7 @@ def check_appendix_a(
         results.append(_result(row, devs, 1.0, tols, "antiderivative", required=k != 1))
 
     def integrand(zz: float) -> float:
-        p = p_derivs(zz)
+        p = _row(zz)
         return p[3] + 3.0 * p[2]
 
     # The grid ascends: integrate the singular stretch from -1, then each gap, once.

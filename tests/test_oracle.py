@@ -15,6 +15,7 @@ from legderiv import (
     p_deriv,
     polylog,
 )
+from legderiv import oracle, verify
 
 # the docstring's 1e-14 down to the floor of the domain, where the series
 # ratio (1-z)/2 nears 0.95
@@ -145,6 +146,13 @@ class TestOdeResidual:
             residuals = ode_residuals(z)
             assert len(residuals) == 4
             assert max(residuals) <= 1e-11, (z, residuals)
+
+    def test_grid_pass_matches_each_point(self):
+        # the recurrence check's one moment pass over the gaps of its grid gives
+        # each z the residuals of ode_residuals(z), whose pass has one gap
+        grid = verify._ODE_GRID
+        for z, residuals in zip(grid, oracle._ode_residuals(grid)):
+            assert residuals == pytest.approx(ode_residuals(z), rel=0.0, abs=1e-14), z
 
     def test_domain(self):
         for z in (1.0, -1.0, math.nan, math.inf):

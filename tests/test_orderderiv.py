@@ -141,6 +141,19 @@ class TestPDeriv:
         for z in row_grid():
             assert [v.hex() for v in p_derivs(z)] == [p_deriv(n, z).hex() for n in range(5)], z
 
+    def test_one_domain_check_per_call(self, monkeypatch):
+        # p_deriv and inner_integral_I check z, then read the row through the
+        # unchecked door: one _check_z per call, as p_derivs itself makes
+        checks = []
+        check_z = orderderiv._check_z
+        monkeypatch.setattr(orderderiv, "_check_z", lambda n, z: checks.append(z) or check_z(n, z))
+        calls = [lambda z, n=n: p_deriv(n, z) for n in range(5)] + [inner_integral_I, p_derivs]
+        for z in (-0.999, -0.5, 0.0, 0.3, 1.0):
+            for call in calls:
+                checks.clear()
+                call(z)
+                assert checks == [z]
+
     def test_row_bits_are_pinned(self):
         """sha256 of the .hex() of every p_derivs row over row_grid(), recorded
         with CPython 3.11.7 on glibc 2.36 (x86-64).

@@ -70,7 +70,7 @@ class TestSingularEndpoints:
     @pytest.mark.parametrize("both", [False, True], ids=["lower", "both"])
     @pytest.mark.parametrize("length", [0.1, 0.3, 1.0])
     def test_nodes_stay_strictly_inside(self, a, both, length):
-        # at tol 1e-13 the cubic chart halves its end panel until width * s^3 falls
+        # at tol 1e-13 the quintic chart halves its end panel until width * s^5 falls
         # below half an ulp of a; such a node must still lie strictly inside (a, b)
         b = a + length
         nodes = []
@@ -94,7 +94,7 @@ class TestSingularEndpoints:
 
         flags = EndpointFlag(lower_singular=True, upper_singular=both)
         res = integrate(lambda z: p_derivs(z)[n], -1.0, b, tol=1e-13, flags=flags)
-        assert res.abs_error_estimate <= 1e-13 and res.subdivisions <= 40
+        assert res.abs_error_estimate <= 1e-13 and res.subdivisions <= 14
 
 
 class TestFrakIntegrand:

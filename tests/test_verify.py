@@ -84,9 +84,9 @@ class TestSuite:
     @pytest.mark.parametrize(
         "seed,sha256",
         [
-            (20140412, "1bac78ef66f5ca4faa1cbd1cf99c99f7deb5677271ff6f4e321b04d4788a8f5f"),
-            (2718, "72afe1609761219220a78371cceb6a6110c86662bf6b9c60c571e5e2402a80eb"),
-            (6113, "b50046d70886976d478f6c28ea7b2eaa97815857bc4f1efd2176d9e5d988a201"),
+            (20140412, "8f523bc53ba7e4efa798c7c7a1e642940b5533bf4a41525e28cb4a70d484466b"),
+            (2718, "b1dc6addde778eac16eafbc39d693a841df651208fa2524ea2cecc4f26b6a560"),
+            (6113, "dbb7d7be603f61c2b2567a0eefa16e0fd2d7669e911a302d4f904a78e377b1e8"),
         ],
         ids=["20140412", "2718", "6113"],
     )
@@ -206,14 +206,14 @@ class TestIndividualChecks:
         assert result.sample_count == len(verify._ODE_GRID)
 
     def test_recurrence_catches_a_p3_slip(self, monkeypatch):
-        # a 1e-8 sin(7z) slip in the P3 that ode_residuals integrates scores
+        # a 1e-8 sin(7z) slip in the P3 rows that the moment pass integrates scores
         # 1.2e-8 against the 1e-11 gate on the n = 3 row, which alone reads
         # P3 on both sides of its relation
         def slipped(z):
             p = p_derivs(z)
             return p[:3] + (p[3] + 1e-8 * math.sin(7.0 * z),) + p[4:]
 
-        monkeypatch.setattr(oracle, "p_derivs", slipped)
+        monkeypatch.setattr(oracle, "_row", slipped)
         rows = check_quadrature_recurrence()
         assert not rows[2].passed and rows[2].max_abs_dev > 1e-8
 
@@ -407,12 +407,12 @@ class TestDisplayFamilies:
                     assert float(abs(slope - ref)) <= 1e-13 * max(1.0, abs(float(ref))), (x, k)
 
     def test_one_kernel_pass_per_shared_argument(self, monkeypatch):
-        # one polylog call per (order, argument), and none for the slopes, which
-        # read Li_{s-1} off the kernel
+        # one call of polylog's unchecked door per (order, argument), and none for
+        # the slopes, which read Li_{s-1} off the kernel
         calls = []
         for module in (verify, orderderiv):
             monkeypatch.setattr(
-                module, "polylog", lambda s, x: calls.append((s, x)) or polylog(s, x)
+                module, "_polylog", lambda s, x: calls.append((s, x)) or polylog(s, x)
             )
         x = 0.3
         kernel = _t_kernel(x)
