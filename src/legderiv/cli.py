@@ -8,7 +8,6 @@ code 1 a failed required verification check.
 
 from __future__ import annotations
 
-import numbers
 import sys
 from dataclasses import dataclass
 
@@ -17,7 +16,7 @@ import click
 from . import __version__
 from .exceptions import ConvergenceError, DomainError
 from .orderderiv import _row, p_deriv
-from .polylog import as_order
+from .polylog import as_order, as_real
 from .verify import run_suite, trigamma_sum, trigamma_sum_target, DEFAULT_SEED, DEFAULT_SUM_TERMS
 
 __all__ = ["main", "TableSpec"]
@@ -44,10 +43,7 @@ class TableSpec:
             raise DomainError(f"orders must not repeat, got {self.orders!r}")
         object.__setattr__(self, "orders", orders)
         for name in ("z_start", "z_end"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise DomainError(f"{name} must be a real number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, as_real(getattr(self, name), name))
         if not -1.0 < self.z_start < self.z_end <= 1.0:
             raise DomainError(
                 f"need -1 < z_start < z_end <= 1, got {self.z_start!r}, {self.z_end!r}"

@@ -26,7 +26,7 @@ import math
 
 from .exceptions import ConvergenceError, DomainError
 from .orderderiv import _row
-from .polylog import as_order
+from .polylog import as_order, as_real
 from .quadrature import _integrate
 
 __all__ = ["order_derivatives", "ode_residuals"]
@@ -50,6 +50,7 @@ def order_derivatives(
     z = -0.9 + 2^-53, 124 at -0.5, 55 at 0 and 2 at 1.
     """
     max_terms = as_order(max_terms, 1, math.inf, "max_terms")
+    z = as_real(z, "order_derivatives argument")
     if not _Z_FLOOR < z <= 1.0:
         raise DomainError(f"order_derivatives expects z in ({_Z_FLOOR}, 1], got {z!r}")
     x = 0.5 * (1.0 - z)
@@ -90,9 +91,10 @@ def ode_residuals(z: float) -> tuple[float, float, float, float]:
     on the one-point grid (z,), one refinement at tol 1e-12 that every
     moment meets, with P0..P4 from one row of ``p_derivs`` per node.
     """
+    z = as_real(z, "ode_residuals argument")
     if not -1.0 < z < 1.0:
         raise DomainError(f"ode_residuals expects z in (-1, 1), got {z!r}")
-    return _ode_residuals((float(z),))[0]
+    return _ode_residuals((z,))[0]
 
 
 def _ode_residuals(grid: tuple[float, ...]) -> list[tuple[float, float, float, float]]:

@@ -7,7 +7,7 @@ n = 0..4, with t = (1+z)/2 and u = (1-z)/2.  The paper's closed forms are
     P1 = ln(t)
     P2 = -2 Li_2(1-t)
     P3 = 12 Li_3(t) - 6 ln(t) Li_2(t) - pi^2 ln(t) - 12 zeta(3)
-    P4 = pi^4/15 + 24 [ ... ]          (grouped bracket, see _closed_form)
+    P4 = pi^4/15 + 24 [ ... ]          (grouped bracket, see _closed_forms)
 
 P0 and P1 are evaluated from them.  P2..P4 are one Horner pass over tables
 fixed at import, split at z = 0: on z >= 0 the series in u of
@@ -24,8 +24,8 @@ once, on the piece, by ``polylog._recentred``; rows per piece, from u or t = 0 u
 from one Horner loop over one piece's tables side by side, and ``p_deriv(n, z)``
 is its element n.  ``p_derivs`` is the checked door to ``_row``, the unchecked
 one that p_deriv, inner_integral_I, tables and integrands call on z checked or
-built in range; the closed forms call ``polylog._polylog`` alike.  They stay as
-``_closed_form``, which the verification suite compares with the tables.
+built in range; the closed forms call ``polylog._li`` alike.  They stay as
+``_closed_forms``, which the verification suite compares with the tables.
 
 The module also carries every intermediate closed form the P4 derivation
 runs through: the inner integral I(z) = (1+z) P3(z), the antiderivative
@@ -33,8 +33,9 @@ frak_I of ln(t) Li_2(t)/(1-t) with its endpoint limits, the first
 integrals int^z P_eta dz', and residual evaluators for the dilogarithm
 reflection, the dilogarithm Landen transform, and the three-term
 trilogarithm identity.  ``_frak_I`` and ``_first_integral_displays`` are the
-frak_I and first-integral displays over their kernel values; they take only +,
-- and *, so the verification suite differentiates them on values v + i*slope.
+frak_I and first-integral displays over their kernel values (``_frak_kernel``,
+``_first_integral_kernel``); they take only +, - and *, so the verification
+suite differentiates them on values v + i*slope.
 
 Only P1 and P3 diverge as z -> -1 (the ln(t) coefficient sin(pi nu)/pi is odd
 in nu; P2 -> -pi^2/3, P4 -> pi^4/5); z = -1 is a domain error for n >= 1.
@@ -45,7 +46,7 @@ from __future__ import annotations
 import math
 
 from .exceptions import DomainError
-from .polylog import _MIDPOINTS, _SERIES_PIECES, _piece, _polylog, _recentred, as_order, zeta_const
+from .polylog import _MIDPOINTS, _SERIES_PIECES, _li, _piece, _recentred, as_order, as_real, zeta_const
 
 __all__ = [
     "p_deriv",
@@ -116,7 +117,7 @@ _T_ROWS = {
 
 
 def _check_z(n: int, z: float) -> float:
-    z = float(z)
+    z = z if type(z) is float else as_real(z, "argument")  # as_real, float fast path inline
     if math.isnan(z):
         raise DomainError("argument is NaN")
     if n == 0:
@@ -182,8 +183,9 @@ def _row(z: float) -> tuple[float, float, float, float, float]:
     return 1.0, lt, a2 + lt * b2, a3 + lt * b3, a4 + lt * b4
 
 
-def _closed_form(n: int, z: float) -> float:
-    """The paper's closed form of Pn(z), n = 1..4, for z checked as p_deriv does.
+def _closed_forms(z: float) -> tuple[float, float, float, float]:
+    """The paper's closed forms (P1, P2, P3, P4) at one z checked as p_derivs does,
+    from one ln t, one Li_2(t) and one zeta(3).
 
     The P4 integration constants are pinned by P4(1) = 0: the coefficient
     of ln((1+z)/(1-z)) must vanish for P4 to stay finite at z = 1, which
@@ -191,34 +193,30 @@ def _closed_form(n: int, z: float) -> float:
     """
     t = 0.5 * (1.0 + z)
     u = 0.5 * (1.0 - z)  # 1 - t without cancellation
-    if n == 1:
-        return math.log1p(-u) + 0.0 if u < 0.5 else math.log(t)  # +0.0 at z = 1
-    if n == 2:
-        return -2.0 * _polylog(2, u) + 0.0  # + 0.0 turns -0.0 into +0.0 at z = 1
-    zeta3 = zeta_const(3)
-    if n == 3:
-        lt = math.log(t)
-        li2t = _polylog(2, t)
-        return 12.0 * _polylog(3, t) - 6.0 * lt * li2t - _PI2 * lt - 12.0 * zeta3
-    # n == 4: the ln(1-t) powers blow up at t = 1 while their sum cancels,
-    # so the normalization point returns exactly 0 instead of NaN.
-    if t == 1.0:
-        return 0.0
     lt = math.log(t)
+    li2t = _li(2, t)
+    zeta3 = zeta_const(3)
+    # + 0.0 turns -0.0 into +0.0 at z = 1
+    p1 = math.log1p(-u) + 0.0 if u < 0.5 else lt
+    p2 = -2.0 * _li(2, u) + 0.0
+    p3 = 12.0 * _li(3, t) - 6.0 * lt * li2t - _PI2 * lt - 12.0 * zeta3
+    # P4's ln(1-t) powers blow up at t = 1 while their sum cancels, so the
+    # normalization point returns exactly 0 instead of NaN.
+    if t == 1.0:
+        return p1, p2, p3, 0.0
     lu = math.log(u)
-    li2t = _polylog(2, t)
     row1 = (
         0.5 * li2t * li2t
         - _PI2 / 6.0 * li2t
-        + 2.0 * _polylog(4, t)
-        - 2.0 * _polylog(4, u)
-        + 2.0 * lt * (_polylog(3, u) - zeta3)
+        + 2.0 * _li(4, t)
+        - 2.0 * _li(4, u)
+        + 2.0 * lt * (_li(3, u) - zeta3)
     )
-    row2 = lu**4 / 12.0 + _PI2 / 6.0 * lu * lu + 2.0 * _polylog(4, -t / u)
+    row2 = lu**4 / 12.0 + _PI2 / 6.0 * lu * lu + 2.0 * _li(4, -t / u)
     row3 = lt * lu * (li2t - _PI2 / 2.0 - lu * lu / 3.0 + lt * lu)
     # The +pi^4/36 completes the bracket so that it vanishes at t = 1,
     # which is what pins the overall constant to pi^4/15.
-    return _PI4 / 15.0 + 24.0 * (row1 + row2 + row3 + _PI4 / 36.0)
+    return p1, p2, p3, _PI4 / 15.0 + 24.0 * (row1 + row2 + row3 + _PI4 / 36.0)
 
 
 def inner_integral_I(z: float) -> float:
@@ -240,14 +238,20 @@ def frak_I(t: float) -> float:
     The integration constant is fixed so that the endpoint limits are
     frak_I_limit(0) = -pi^4/45 and frak_I_limit(1) = -11 pi^4/360.
     """
-    t = float(t)
+    t = t if type(t) is float else as_real(t, "frak_I argument")  # as_real, float fast path inline
     if not 0.0 < t < 1.0:
         raise DomainError(
             f"frak_I is defined on the open interval (0, 1), got {t!r}; "
             "endpoint values are provided by frak_I_limit"
         )
-    k = [_polylog(s, y) for y in (t, 1.0 - t, t / (t - 1.0)) for s in (2, 3, 4)]
-    return _frak_I(math.log(t), math.log1p(-t), *k)
+    return _frak_I(*_frak_kernel(t)[1:])
+
+
+def _frak_kernel(t: float) -> tuple[float, ...]:
+    # t, ln t, ln(1-t) and Li_2..Li_4 at t, 1 - t and t/(t - 1), t in (0, 1): frak_I's kernel
+    u, w = 1.0 - t, t / (t - 1.0)  # nine calls spelled out: no comprehension frame per kernel
+    return (t, math.log(t), math.log1p(-t), _li(2, t), _li(3, t), _li(4, t),
+            _li(2, u), _li(3, u), _li(4, u), _li(2, w), _li(3, w), _li(4, w))
 
 
 def _frak_I(lt: complex, lu: complex, *k: complex) -> complex:
@@ -277,26 +281,18 @@ def frak_I_limit(endpoint: int) -> float:
     return -11.0 * _PI4 / 360.0
 
 
-def first_integral(eta: int, z: float, li_order: int = 2) -> float:
-    """First integrals int^z P_eta dz' for eta in {1, 2, 3}, as closed forms.
+def first_integral(eta: int, z: float) -> float:
+    """First integrals int^z P_eta dz' for eta in {1, 2}, as closed forms.
 
-    One element of the five displays that ``_first_integral_displays`` evaluates
-    together, so one display costs the whole family.  eta = 1 and 2 are within
-    2e-15 relative (at most 9.5e-16 against mpmath over 300 random z and
-    z = -1 + 1e-12, -1 + 1e-6, 0 and 1); eta = 3 is the source's display, kept
-    for the verification suite, with no stated bound.
-
-    The eta = 3 form contains a polylogarithm whose order is ambiguous in
-    the source display; ``li_order`` selects the resolution (default 2,
-    the order under which the z-dependence of d/dz matches P3 exactly).
-    Note the printed eta = 3 form is off by the constant 24 zeta(3) in its
-    derivative even then; see the verification suite, which reports it.
+    One element of the displays that ``_first_integral_displays`` evaluates
+    together, so one display costs the whole family.  Within 2e-15 relative
+    (at most 9.5e-16 against mpmath over 300 random z and z = -1 + 1e-12,
+    -1 + 1e-6, 0 and 1).  The source's eta = 3 display, whose polylogarithm
+    order is ambiguous, is measured by the verification suite only.
     """
-    eta = as_order(eta, 1, 3, "first_integral eta")
-    li_order = as_order(li_order, 1, 3, "li_order")
+    eta = as_order(eta, 1, 2, "first_integral eta")
     z = _check_z(1, z)
-    displays = _first_integral_displays(z, *_first_integral_kernel(z))
-    return displays[eta - 1 if eta < 3 else li_order + 1]
+    return _first_integral_displays(z, *_first_integral_kernel(z))[eta - 1]
 
 
 def _first_integral_kernel(z: float) -> tuple[float, float, float, float, float, float]:
@@ -304,8 +300,8 @@ def _first_integral_kernel(z: float) -> tuple[float, float, float, float, float,
     # Li_1(t) sit in vanishes at z = 1 and is within 4e-16 of the head at z = 1 - 2^-53,
     # where t rounds to 1 and Li_1(t) would diverge: zeros there return the head.
     t, u = 0.5 * (1.0 + z), 0.5 * (1.0 - z)
-    lu, li1t = (0.0, 0.0) if t == 1.0 else (math.log(u), _polylog(1, t))
-    return math.log(t), lu, li1t, _polylog(2, t), _polylog(3, t), _polylog(2, u)
+    lu, li1t = (0.0, 0.0) if t == 1.0 else (math.log(u), _li(1, t))
+    return math.log(t), lu, li1t, _li(2, t), _li(3, t), _li(2, u)
 
 
 def _first_integral_displays(z: complex, *kernel: complex) -> tuple[complex, ...]:
@@ -320,7 +316,7 @@ def _first_integral_displays(z: complex, *kernel: complex) -> tuple[complex, ...
 
 
 def _check_unit_interval(x: float) -> float:
-    x = float(x)
+    x = as_real(x, "identity argument")
     if not 0.0 < x < 1.0:
         raise DomainError(f"identity arguments must lie in (0, 1), got {x!r}")
     return x
@@ -329,14 +325,14 @@ def _check_unit_interval(x: float) -> float:
 def dilog_reflection(x: float) -> float:
     """Residual of Li_2(1-x) + Li_2(x) - pi^2/6 + ln(x) ln(1-x); ~0 on (0,1)."""
     x = _check_unit_interval(x)
-    return _polylog(2, 1.0 - x) + _polylog(2, x) - _PI2 / 6.0 + math.log(x) * math.log1p(-x)
+    return _li(2, 1.0 - x) + _li(2, x) - _PI2 / 6.0 + math.log(x) * math.log1p(-x)
 
 
 def dilog_landen(x: float) -> float:
     """Residual of Li_2(x/(x-1)) + Li_2(x) + ln^2(1-x)/2; ~0 on (0,1)."""
     x = _check_unit_interval(x)
     lu = math.log1p(-x)
-    return _polylog(2, x / (x - 1.0)) + _polylog(2, x) + 0.5 * lu * lu
+    return _li(2, x / (x - 1.0)) + _li(2, x) + 0.5 * lu * lu
 
 
 def trilog_identity(x: float) -> float:
@@ -348,6 +344,6 @@ def trilog_identity(x: float) -> float:
     x = _check_unit_interval(x)
     lx = math.log(x)
     lu = math.log1p(-x)
-    lhs = _polylog(3, x / (x - 1.0)) + _polylog(3, 1.0 - x) + _polylog(3, x) - zeta_const(3)
+    lhs = _li(3, x / (x - 1.0)) + _li(3, 1.0 - x) + _li(3, x) - zeta_const(3)
     rhs = _PI2 / 6.0 * lu - 0.5 * lx * lu * lu + lu**3 / 6.0
     return lhs - rhs

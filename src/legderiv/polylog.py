@@ -35,13 +35,14 @@ runs on [-1, 1/2], for polylog and orderderiv alike; above 1/2 it is
 floor(8v) + 8.  Inversion, the only branch that recurses, lands on a piece:
 every call takes at most one hop.  ``polylog`` is the package's one Li_s
 kernel: every caller takes one call per order and argument.  ``polylog`` is its
-checked door and ``_polylog`` its unchecked one, for arguments checked or built.
+checked door and ``_li`` its unchecked one, for arguments checked or built.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 import sys
 
@@ -103,6 +104,19 @@ def as_order(value: object, lo: int, hi: float, what: str) -> int:
             if lo <= order <= hi:
                 return order
     raise DomainError(f"{what} must be an integer in {lo}..{hi}, got {value!r}")
+
+
+def as_real(value: object, what: str) -> float:
+    """``value`` as a float: any numbers.Real but bool, such as numpy, Fraction or mpmath
+    values.  Raises DomainError otherwise: for a str, a complex or a real past float range."""
+    if type(value) is float:
+        return value
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise DomainError(f"{what} must be a real number in float range, got {value!r}")
 
 
 def _horner(coeffs: tuple[float, ...], u: float) -> float:
@@ -218,8 +232,13 @@ def _inverted(s: int, recip: float, lgm: float) -> float:
 
 
 def _li(s: int, x: float) -> float:
-    # Li_s(x) for s in 2..5 and finite x < 1, with _horner's passes inline; inversion maps
-    # x < -1 (1/x in (-1, 0)) into the pieces, so every call enters here at most twice.
+    # polylog's unchecked door: an int s in 1..5 and a float x <= 1, (s, x) != (1, 1).
+    # _horner's passes run inline; inversion maps x < -1 (1/x in (-1, 0)) into the
+    # pieces, so every call enters here at most twice.
+    if s == 1:
+        return -math.log1p(-x)
+    if x == 1.0:
+        return _ZETA[s]
     total = 0.0
     if -1.0 <= x <= _SERIES_CUT:
         i = _piece(x)
@@ -252,24 +271,16 @@ def polylog(s: int, x: float) -> float:
     and x = 1 - 2^-k, -1 +- 2^-k).
     Li_1 is returned in closed form, -ln(1-x).  Li_s(-0.0) is -0.0.
 
-    Raises DomainError for x > 1, for non-finite x and for the divergent
-    point (s=1, x=1).
+    Raises DomainError for x > 1, for non-finite or non-real x and for the
+    divergent point (s=1, x=1).
     """
     s = as_order(s, 1, 5, "polylogarithm order")
-    x = float(x)
-    if not -math.inf < x <= 1.0:
-        raise DomainError(f"polylog requires finite x <= 1, got {x!r}")
-    if s == 1 and x == 1.0:
-        raise DomainError("Li_1(1) diverges")
-    return _polylog(s, x)
-
-
-def _polylog(s: int, x: float) -> float:
-    # polylog's unchecked door: an int s in 1..5 and a float x <= 1, (s, x) != (1, 1).
-    if s == 1:
-        return -math.log1p(-x)
-    if x == 1.0:
-        return _ZETA[s]
+    x = x if type(x) is float else as_real(x, "polylog argument")  # as_real, float fast path inline
+    if not -math.inf < x < 1.0:
+        if x != 1.0:
+            raise DomainError(f"polylog requires finite x <= 1, got {x!r}")
+        if s == 1:
+            raise DomainError("Li_1(1) diverges")
     return _li(s, x)
 
 

@@ -24,7 +24,7 @@ from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .exceptions import ConvergenceError, DomainError
-from .polylog import as_order
+from .polylog import as_order, as_real
 
 __all__ = ["EndpointFlag", "QuadResult", "integrate"]
 
@@ -124,13 +124,14 @@ def _integrate(
     Returns (integral per component, error estimate, subdivisions).
     """
     # A finite b - a also keeps every node finite; the nodes need a float between a and b.
+    a, b = as_real(a, "lower bound"), as_real(b, "upper bound")
     if not (a < b and math.isfinite(b - a) and math.nextafter(a, b) < b):
         raise DomainError(
             "integration bounds must satisfy a < b with finite b - a and a float between "
             f"them, got {a!r}, {b!r}"
         )
-    # NaN would end refinement at once, and True would run at tol 1.
-    if isinstance(tol, bool) or not tol >= _MIN_TOL:
+    # NaN would end refinement at once.
+    if not as_real(tol, "tolerance") >= _MIN_TOL:
         raise DomainError(f"tolerance must be a number >= {_MIN_TOL:g}, got {tol!r}")
     max_panels = as_order(max_panels, 1, math.inf, "max_panels")
 

@@ -25,17 +25,16 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .exceptions import DomainError
 from .oracle import _ode_residuals, order_derivatives
-from .orderderiv import _first_integral_displays, _first_integral_kernel, _frak_I
+from .orderderiv import _first_integral_displays, _first_integral_kernel, _frak_I, _frak_kernel
 from .orderderiv import (
     _PI4,
-    _closed_form,
+    _closed_forms,
     _row,
     frak_I,
     frak_I_limit,
@@ -45,7 +44,7 @@ from .orderderiv import (
     dilog_reflection,
     trilog_identity,
 )
-from .polylog import _polylog, _zeta_tail, as_order, trigamma, zeta_const
+from .polylog import _li, _zeta_tail, as_order, as_real, trigamma, zeta_const
 from .quadrature import EndpointFlag, integrate
 
 __all__ = [
@@ -163,8 +162,7 @@ def resolve_tolerances(tol_overrides: Mapping[str, float] | None) -> dict[str, f
             raise DomainError(
                 f"unknown tolerance group {group!r}; expected one of {sorted(_TOL_GROUPS)}"
             )
-        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        number = float(value) if real else math.nan
+        number = as_real(value, f"tolerance {group!r}")
         if not 0.0 < number < math.inf:
             raise DomainError(f"tolerance {group!r} must be positive and finite, got {value!r}")
         for key in _TOL_GROUPS[group]:
@@ -217,20 +215,17 @@ def check_closed_forms(tol_overrides: Mapping[str, float] | None = None) -> list
     results.append(_result("closed-form-normalization", norm_devs, 1.0, tols, "normalization"))
 
     oracle = [order_derivatives(z) for z in _FD_GRID]
+    closed = [_closed_forms(z) for z in _FD_GRID]
     for n in range(1, 5):
-        devs = []
-        scale = 0.0
-        for z, values in zip(_FD_GRID, oracle):
-            devs.append(abs(_closed_form(n, z) - values[n]))
-            scale = max(scale, abs(values[n]))
+        devs = [abs(forms[n - 1] - values[n]) for forms, values in zip(closed, oracle)]
+        scale = max(abs(values[n]) for values in oracle)
         results.append(_result(f"closed-form-fd-n{n}", devs, scale, tols, f"fd_n{n}"))
 
     # Pointwise relative, so that the check is as tight near z = +-1 as at 0;
     # p_derivs' unchecked door _row is p_deriv bit for bit, and is what render_table runs.
     devs = []
     for z in _TABLE_GRID:
-        values = _row(z)
-        devs += [abs(_closed_form(n, z) / values[n] - 1.0) for n in range(1, 5)]
+        devs += [abs(form / value - 1.0) for form, value in zip(_closed_forms(z), _row(z)[1:])]
     note = (
         "the P4 display loses 3-4 digits to cancellation for z >= 0.9 "
         "(sum|terms|/|P4| ~ 8.7e4 at z = 0.9); "
@@ -240,18 +235,16 @@ def check_closed_forms(tol_overrides: Mapping[str, float] | None = None) -> list
 
     # The pre-gathered fourth-derivative form: the same value composed
     # through the antiderivative frak_I instead of the gathered bracket.
-    # Agreement here exercises the identity-gathering step end to end.
+    # Agreement here exercises the identity-gathering step end to end; one
+    # frak_I kernel per z serves the composition and frak_I alike.
     devs = []
     for z in (-0.9, -0.5, 0.0, 0.5, 0.9):
-        tt = 0.5 * (1.0 + z)
-        uu = 0.5 * (1.0 - z)
+        kernel = _frak_kernel(0.5 * (1.0 + z))
+        _, _, lu, li2t, li3t, _, li2u, *_ = kernel
         composed = _PI4 / 15.0 + 24.0 * (
-            _polylog(2, tt) ** 2
-            + 2.0 * math.log(uu) * (_polylog(3, tt) - zeta_const(3))
-            + zeta_const(2) * _polylog(2, uu)
-            + frak_I(tt)
+            li2t**2 + 2.0 * lu * (li3t - zeta_const(3)) + zeta_const(2) * li2u + _frak_I(*kernel[1:])
         )
-        devs.append(abs(composed - _closed_form(4, z)))
+        devs.append(abs(composed - _closed_forms(z)[3]))
     results.append(
         _result(
             "p4-via-frak-I",
@@ -347,17 +340,15 @@ def _t_displays(x: complex, lx: complex, lu: complex, *k: complex) -> tuple[comp
     return li4_landen, li2_squared, log_squares, _frak_I(lx, lu, *k) + 4.0 * lx * li3x
 
 
-def _t_kernel(x: float) -> tuple[list[float], list[float]]:
-    # _t_displays' arguments at x and their slopes: d Li_s(y) = Li_{s-1}(y) d ln y,
-    # where Li_1 is -ln(1 - x), -ln x and ln(1 - x) at x, 1 - x and x/(x - 1).
-    lx, lu = math.log(x), math.log1p(-x)
+def _t_kernel(x: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    # _t_displays' arguments at x, frak_I's kernel, and their slopes: d Li_s(y) =
+    # Li_{s-1}(y) d ln y, where Li_1 is -ln(1 - x), -ln x and ln(1 - x) at x, 1 - x, x/(x - 1).
+    values = _frak_kernel(x)
+    _, lx, lu, li2x, li3x, _, li2u, li3u, _, li2w, li3w, _ = values
     dx, du = 1.0 / x, -1.0 / (1.0 - x)
-    values, slopes = [x, lx, lu], [1.0, dx, du]
-    for y, li1, dlog in ((x, -lu, dx), (1.0 - x, -lx, du), (x / (x - 1.0), lu, dx - du)):
-        lis = [li1] + [_polylog(s, y) for s in (2, 3, 4)]
-        values += lis[1:]
-        slopes += [li * dlog for li in lis[:3]]
-    return values, slopes
+    dw = dx - du
+    slopes = (1.0, dx, du, -lu * dx, li2x * dx, li3x * dx, -lx * du, li2u * du, li3u * du)
+    return values, (*slopes, lu * dw, li2w * dw, li3w * dw)
 
 
 def _z_kernel(z: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -370,7 +361,7 @@ def _z_kernel(z: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 def _frak_integrand(t: float) -> float:
     # ln(t) Li_2(t) / (1 - t), whose antiderivative is frak_I
-    return math.log(t) * _polylog(2, t) / (1.0 - t)
+    return math.log(t) * _li(2, t) / (1.0 - t)
 
 
 def check_appendix_a(
@@ -457,7 +448,7 @@ def check_appendix_a(
     # constant, measured against the oracle the same way the closed form is.
     offsets = []
     for z in (-0.5, 0.3, 0.8):
-        stripped = _closed_form(4, z) - 24.0 * _PI4 / 36.0
+        stripped = _closed_forms(z)[3] - 24.0 * _PI4 / 36.0
         offsets.append(stripped - order_derivatives(z)[4])
     spread = max(offsets) - min(offsets)
     results.append(

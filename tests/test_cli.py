@@ -133,6 +133,20 @@ class TestTable:
         assert rows[0]["z"] == -0.9
         assert rows[-1]["z"] == 1.0
 
+    def test_empty_orders_and_unknown_format_are_domain_errors(self):
+        with pytest.raises(DomainError):
+            TableSpec(orders=(), z_start=0.0, z_end=1.0, steps=2, fmt="csv")
+        with pytest.raises(DomainError):
+            TableSpec(orders=(1,), z_start=0.0, z_end=1.0, steps=2, fmt="xml")
+
+    def test_unparsable_orders_exit_two(self, runner):
+        result = runner.invoke(
+            main, ["table", "--orders", "abc", "--z-start", "0", "--z-end", "1", "--steps", "2"]
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
     def test_bad_range_exits_two(self, runner):
         result = runner.invoke(
             main,

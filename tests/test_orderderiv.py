@@ -229,6 +229,14 @@ class TestPDeriv:
         for z in (1.0 - 2.0**-k for k in range(1, 40)):
             assert math.isfinite(p_deriv(4, z))
 
+    def test_closed_forms_where_t_rounds_to_one(self):
+        # t = (1 + z)/2 is 1 at z = 1 and rounds to 1 at z = 1 - 2^-53, where the
+        # closed forms' guard returns P4 = 0 instead of cancelling ln(1 - t) powers
+        for z in (1.0, 1.0 - 2.0**-53):
+            forms = orderderiv._closed_forms(z)
+            assert all(math.isfinite(v) for v in forms), z
+            assert all(abs(f - p) <= 1e-15 for f, p in zip(forms, p_derivs(z)[1:])), z
+
     def test_domain_errors(self):
         for n in (1, 2, 3, 4):
             with pytest.raises(DomainError):
@@ -333,6 +341,12 @@ class TestFrakI:
                 frak_I(t)
 
 
+def eta3_display(z, order=2):
+    # the source's eta = 3 display with its ambiguous polylogarithm read as Li_order:
+    # element order + 1 of the family, which the verification suite reads
+    return orderderiv._first_integral_displays(z, *orderderiv._first_integral_kernel(z))[order + 1]
+
+
 class TestFirstIntegrals:
     def test_eta1_endpoint_values(self):
         assert first_integral(1, 1.0) == -2.0
@@ -373,7 +387,7 @@ class TestFirstIntegrals:
         # as printed (with the ambiguous polylogarithm read as Li_2), the
         # derivative exceeds P3 by exactly 24 zeta(3); measured, not assumed
         zs = np.random.default_rng(17).uniform(-0.9, 0.97, size=25)
-        gaps = excess_over_gaps(lambda z: first_integral(3, z), lambda z: p_deriv(3, z), zs)
+        gaps = excess_over_gaps(eta3_display, lambda z: p_deriv(3, z), zs)
         offsets = [excess / width for excess, width in gaps]
         expected = 24.0 * zeta_const(3)
         assert max(offsets) - min(offsets) <= 1e-9
@@ -382,14 +396,12 @@ class TestFirstIntegrals:
     def test_eta3_other_orders_are_z_dependent(self):
         zs = (-0.6, -0.5, 0.0, 0.1, 0.7, 0.8)
         for order in (1, 3):
-            gaps = excess_over_gaps(
-                lambda z: first_integral(3, z, li_order=order), lambda z: p_deriv(3, z), zs
-            )
+            gaps = excess_over_gaps(lambda z: eta3_display(z, order), lambda z: p_deriv(3, z), zs)
             offsets = [excess / width for excess, width in gaps]
             assert max(offsets) - min(offsets) > 0.1
 
     def test_eta3_finite_at_one(self):
-        value = first_integral(3, 1.0)
+        value = eta3_display(1.0)
         expected = 12.0 * (2.0 * zeta_const(3) + PI**2 / 6.0 - 1.0 + 2.0 * zeta_const(3))
         assert value == pytest.approx(expected, rel=1e-14)
 
@@ -398,9 +410,10 @@ class TestFirstIntegrals:
         # cannot be evaluated; every display is still finite at the domain's ends
         edges = (1.0 - 2.0**-53, 1.0 - 2.0**-52, 1.0, -1.0 + 2.0**-53)
         for z in edges:
-            for eta in (1, 2, 3):
-                for order in (1, 2, 3):
-                    assert math.isfinite(first_integral(eta, z, li_order=order)), (z, eta, order)
+            for eta in (1, 2):
+                assert math.isfinite(first_integral(eta, z)), (z, eta)
+            for order in (1, 2, 3):
+                assert math.isfinite(eta3_display(z, order)), (z, order)
         z = 1.0 - 2.0**-53
         with mp.workdps(40):
             x = mp.mpf(z)
@@ -408,7 +421,7 @@ class TestFirstIntegrals:
             bracket = 2 * mp.polylog(3, t) + mp.pi**2 / 6 - 1 + 2 * mp.zeta(3)
             bracket -= (mp.polylog(2, t) + mp.pi**2 / 6 - 1) * mp.log(t)
             reference = 6 * (1 + x) * bracket + 6 * (1 - x) * (-mp.log(u) + mp.log(u) * mp.log(t))
-            rel = float(abs((first_integral(3, z, li_order=1) - reference) / reference))
+            rel = float(abs((eta3_display(z, 1) - reference) / reference))
         assert rel <= 1e-15, rel
 
     def test_each_display_is_an_element_of_the_family(self):
@@ -417,22 +430,20 @@ class TestFirstIntegrals:
             kernel = orderderiv._first_integral_kernel(z)
             family = [v.hex() for v in orderderiv._first_integral_displays(z, *kernel)]
             displays = [first_integral(1, z).hex(), first_integral(2, z).hex()]
-            displays += [first_integral(3, z, li_order=order).hex() for order in (1, 2, 3)]
+            displays += [eta3_display(z, order).hex() for order in (1, 2, 3)]
             assert displays == family, z
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            first_integral(4, 0.5)
+        # eta = 3, the source's display, states no bound and is not offered
+        for eta in (3, 4, 0):
+            with pytest.raises(DomainError):
+                first_integral(eta, 0.5)
         with pytest.raises(DomainError):
             first_integral(1, -1.0)
-        with pytest.raises(DomainError):
-            first_integral(3, 0.5, li_order=4)
-        assert first_integral(np.int64(3), 0.5, np.int64(1)) == first_integral(3, 0.5, 1)
+        assert first_integral(np.int64(2), 0.5) == first_integral(2, 0.5)
         for bad in (True, 1.0, 2.0):
             with pytest.raises(DomainError):
                 first_integral(bad, 0.5)
-            with pytest.raises(DomainError):
-                first_integral(3, 0.5, li_order=bad)
 
 
 class TestIdentityResiduals:

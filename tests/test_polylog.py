@@ -201,8 +201,8 @@ class TestPolylogSeriesConsistency:
 
     def test_one_hop_and_one_order_check(self, monkeypatch):
         # Only the public polylog runs as_order, and inversion maps x < -1 onto
-        # a piece, so a call enters the private kernel entry once, or twice
-        # below -1; Li_1 and Li_s(1) never enter it.
+        # a piece, so a call enters the unchecked door _li once, or twice below
+        # -1 for s >= 2; Li_1 and Li_s(1) return at its top.
         kernel = importlib.import_module("legderiv.polylog")
         entries, checks = [], []
         li, as_order = kernel._li, kernel.as_order
@@ -224,7 +224,7 @@ class TestPolylogSeriesConsistency:
                 entries.clear()
                 checks.clear()
                 polylog(s, x)
-                expected = 0 if s == 1 or x == 1.0 else 2 if x < -1.0 else 1
+                expected = 2 if s >= 2 and x < -1.0 else 1
                 assert len(entries) == expected <= 2, (s, x, entries)
                 assert len(checks) == 1, (s, x)
 
