@@ -147,22 +147,13 @@ def cmd_table(orders: str, z_start: float, z_end: float, steps: int, fmt: str, o
 
 @main.command("verify")
 @click.option("--json", "as_json", is_flag=True, help="Emit the structured report.")
-@click.option("--tol-fd", type=float, default=None,
-              help="Override the oracle, table, first-integral and antiderivative tolerances.")
-@click.option("--tol-identities", type=float, default=None, help="Override the identity tolerance.")
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
 @click.option("--sum-terms", type=int, default=DEFAULT_SUM_TERMS, show_default=True,
               help="Partial-sum length for the trigamma series checks.")
-def cmd_verify(as_json: bool, tol_fd: float | None, tol_identities: float | None,
-               seed: int, sum_terms: int) -> None:
-    """Run the verification suite; exit 0 iff all required checks pass."""
-    overrides = {}
-    if tol_fd is not None:
-        overrides["fd"] = tol_fd
-    if tol_identities is not None:
-        overrides["identities"] = tol_identities
+def cmd_verify(as_json: bool, seed: int, sum_terms: int) -> None:
+    """Run the verification suite against its fixed gates; exit 0 iff all required checks pass."""
     try:
-        report = run_suite(tol_overrides=overrides, seed=seed, terms=sum_terms)
+        report = run_suite(seed=seed, terms=sum_terms)
     except (DomainError, ConvergenceError) as exc:
         _fail(str(exc))
     click.echo(report.to_json() if as_json else report.to_text())

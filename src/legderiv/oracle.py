@@ -102,8 +102,8 @@ def _ode_residuals(grid: tuple[float, ...]) -> list[tuple[float, float, float, f
     # 1 is refined once, at tol 1e-12/len(grid), on M1..M4 and N1..N4 side by side.
     def moments(s: float) -> tuple[float, ...]:
         p0, p1, p2, p3, p4 = _row(s)
-        qs = (p0, 2 * p1 + 2 * p0, 3 * p2 + 6 * p1, 4 * p3 + 12 * p2)
-        return (*(2.0 * s * pn - s * q for pn, q in zip((p1, p2, p3, p4), qs)), *qs)
+        q2, q3, q4, s2 = 2 * p1 + 2 * p0, 3 * p2 + 6 * p1, 4 * p3 + 12 * p2, 2.0 * s
+        return s2 * p1 - s * p0, s2 * p2 - s * q2, s2 * p3 - s * q3, s2 * p4 - s * q4, p0, q2, q3, q4
 
     tol, ends, gaps = 1e-12 / len(grid), (*grid, 1.0), []
     for a, b in zip(ends, ends[1:]):

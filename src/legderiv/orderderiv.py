@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 
 from .exceptions import DomainError
-from .polylog import _MIDPOINTS, _SERIES_PIECES, _li, _piece, _recentred, as_order, as_real, zeta_const
+from .polylog import _MIDPOINTS, _SERIES_PIECES, _ZETA3, _li, _piece, _recentred, as_order, as_real
 
 __all__ = [
     "p_deriv",
@@ -70,7 +70,7 @@ def _nu_tables() -> dict[int, dict[int, tuple[tuple[float, ...], ...]]]:
     # s = -sin(pi nu)/pi, DLMF 15.8.10 gives B_k = -s c_k and A_k = s c_k [2 psi(k+1)
     # - psi(k-nu) - psi(k+1+nu)] = s c_k [1/k + nu/k^2 + (2 zeta(3,k) - 1/k^3) nu^2 + ...], as
     # s c_k = O(nu^2); at k = 0 psi(-nu)'s pole cancels s.
-    zeta3 = zeta_const(3)  # zeta(3, k) = zeta(3) - sum_{j<k} 1/j^3
+    zeta3 = _ZETA3  # zeta(3, k) = zeta(3) - sum_{j<k} 1/j^3
     c = [[1.0, 0.0, 0.0, 0.0, 0.0]]
     a = [[1.0, 0.0, -_PI2 / 6.0, -2.0 * zeta3, _PI4 / 120.0]]
     b = [[0.0, 1.0, 0.0, -_PI2 / 6.0, 0.0]]  # sin(pi nu)/pi
@@ -195,7 +195,7 @@ def _closed_forms(z: float) -> tuple[float, float, float, float]:
     u = 0.5 * (1.0 - z)  # 1 - t without cancellation
     lt = math.log(t)
     li2t = _li(2, t)
-    zeta3 = zeta_const(3)
+    zeta3 = _ZETA3
     # + 0.0 turns -0.0 into +0.0 at z = 1
     p1 = math.log1p(-u) + 0.0 if u < 0.5 else lt
     p2 = -2.0 * _li(2, u) + 0.0
@@ -254,9 +254,8 @@ def _frak_kernel(t: float) -> tuple[float, ...]:
             _li(2, u), _li(3, u), _li(4, u), _li(2, w), _li(3, w), _li(4, w))
 
 
-def _frak_I(lt: complex, lu: complex, *k: complex) -> complex:
+def _frak_I(lt, lu, li2t, li3t, li4t, li2u, li3u, li4u, li2w, li3w, li4w) -> complex:
     # frak_I from ln t, ln(1-t) and (Li_2, Li_3, Li_4) at t, 1 - t and t/(t - 1).
-    li2t, li3t, li4t, li2u, li3u, li4u, li2w, li3w, li4w = k
     d = lt - lu  # ln(t/(1-t))
     total = (lt * lt - lt * lu) * li2t - lu * lu * li2u + d * d * li2w - 0.5 * li2t * li2t
     # The 2 ln(t) Li_3(t) term carries a minus sign: that is what makes the
@@ -310,9 +309,10 @@ def _first_integral_displays(z: complex, *kernel: complex) -> tuple[complex, ...
     lt, lu, li1t, li2t, li3t, li2u = kernel
     int1 = (1.0 + z) * (lt - 1.0)
     int2 = -2.0 * (1.0 + z) * (lt - 1.0) + 2.0 * (1.0 - z) * li2u
-    bracket = 2.0 * li3t + _PI2 / 6.0 - 1.0 + 2.0 * zeta_const(3) - (li2t + _PI2 / 6.0 - 1.0) * lt
-    head = 6.0 * (1.0 + z) * bracket
-    return int1, int2, *(head + 6.0 * (1.0 - z) * (li + lu * lt) for li in (li1t, li2t, li3t))
+    bracket = 2.0 * li3t + _PI2 / 6.0 - 1.0 + 2.0 * _ZETA3 - (li2t + _PI2 / 6.0 - 1.0) * lt
+    head, tail, lult = 6.0 * (1.0 + z) * bracket, 6.0 * (1.0 - z), lu * lt
+    return (int1, int2, head + tail * (li1t + lult), head + tail * (li2t + lult),
+            head + tail * (li3t + lult))
 
 
 def _check_unit_interval(x: float) -> float:
@@ -344,6 +344,6 @@ def trilog_identity(x: float) -> float:
     x = _check_unit_interval(x)
     lx = math.log(x)
     lu = math.log1p(-x)
-    lhs = _li(3, x / (x - 1.0)) + _li(3, 1.0 - x) + _li(3, x) - zeta_const(3)
+    lhs = _li(3, x / (x - 1.0)) + _li(3, 1.0 - x) + _li(3, x) - _ZETA3
     rhs = _PI2 / 6.0 * lu - 0.5 * lx * lu * lu + lu**3 / 6.0
     return lhs - rhs

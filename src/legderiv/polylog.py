@@ -130,7 +130,7 @@ def _horner(coeffs: tuple[float, ...], u: float) -> float:
 def _piece(x: float) -> int:
     # The 1/8-wide piece of [-1, 1/2] that holds x, numbered 0..11 from -1 up;
     # 8x and its floor are exact, and x = 1/2 joins the top piece.
-    return min(math.floor(8.0 * x), 3) + 8
+    return 11 if x >= 0.375 else math.floor(8.0 * x) + 8
 
 
 def _taylor_at(table: tuple[float, ...], c: float) -> list[float]:

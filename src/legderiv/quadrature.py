@@ -134,6 +134,8 @@ def _integrate(
     if not as_real(tol, "tolerance") >= _MIN_TOL:
         raise DomainError(f"tolerance must be a number >= {_MIN_TOL:g}, got {tol!r}")
     max_panels = as_order(max_panels, 1, math.inf, "max_panels")
+    if not isinstance(flags, EndpointFlag):
+        raise DomainError(f"flags must be an EndpointFlag, got {flags!r}")
 
     span, inside = b - a, (math.nextafter(a, b), math.nextafter(b, a))
     charts: tuple[_Chart, ...] = ((a, span, False, *inside),)
@@ -186,10 +188,10 @@ def integrate(
     """Adaptively integrate f over (a, b) to absolute tolerance ``tol``.
 
     The integrand must be evaluable on the open interval; it is never
-    called at a or b.  Raises DomainError unless a < b, b - a is finite and
-    a float lies strictly between them.  Raises ConvergenceError if
-    ``max_panels`` panels do not bring the error estimate under ``tol``, or
-    if a panel's value or error estimate is not finite.
+    called at a or b.  Raises DomainError unless a < b, b - a is finite, a
+    float lies strictly between them and ``flags`` is an EndpointFlag.  Raises
+    ConvergenceError if ``max_panels`` panels do not bring the error estimate
+    under ``tol``, or if a panel's value or error estimate is not finite.
     """
     (value,), err, panels = _integrate(lambda xs: ([*map(f, xs)],), a, b, tol, flags, max_panels)
     return QuadResult(value=value, abs_error_estimate=err, subdivisions=panels)

@@ -12,10 +12,8 @@ derivative defect), the Li_2(t)^2 antiderivative, the sign variant of the
 frak_I display, and the bracket constant of the fourth derivative.
 Nothing is silently corrected; defects are measured and reported.
 
-Each result gates on one tolerance key of ``_DEFAULT_TOLS``.  Callers may
-override two groups of keys: ``"fd"`` (the oracle and table comparisons,
-the first integrals and the antiderivatives; the CLI's ``--tol-fd``) and
-``"identities"`` (the polylogarithm identities; ``--tol-identities``).
+Each result gates on one fixed tolerance of ``_TOLS``; the report prints
+each row's deviation beside its gate and echoes the table in its config.
 
 Reports are deterministic for a fixed config: sample points come from a
 seeded generator and serialization uses a fixed key order.
@@ -27,9 +25,8 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .exceptions import DomainError
 from .oracle import _ode_residuals, order_derivatives
 from .orderderiv import _first_integral_displays, _first_integral_kernel, _frak_I, _frak_kernel
 from .orderderiv import (
@@ -44,7 +41,7 @@ from .orderderiv import (
     dilog_reflection,
     trilog_identity,
 )
-from .polylog import _li, _zeta_tail, as_order, as_real, trigamma, zeta_const
+from .polylog import _li, _zeta_tail, as_order, trigamma, zeta_const
 from .quadrature import EndpointFlag, integrate
 
 __all__ = [
@@ -66,7 +63,7 @@ _TABLE_GRID = (-0.99,) + tuple(k / 10.0 for k in range(-9, 10))
 _ODE_GRID = (-0.5, 0.0, 0.25, 0.5, 0.9)
 _CANCELLATION_GRID = (-0.9, -0.7, -0.5, -0.3, -0.1, 0.1, 0.3, 0.5, 0.7, 0.9)
 
-_DEFAULT_TOLS: dict[str, float] = {
+_TOLS: dict[str, float] = {
     "normalization": 1e-12,
     "fd_n1": 1e-12,
     "fd_n2": 1e-12,
@@ -85,12 +82,6 @@ _DEFAULT_TOLS: dict[str, float] = {
     "frak_limits": 1e-12,
     "sum": 1e-9,
     "p4_composition": 1e-10,
-}
-
-# The only override groups: the ones the CLI sets.
-_TOL_GROUPS: dict[str, tuple[str, ...]] = {
-    "fd": ("fd_n1", "fd_n2", "fd_n3", "fd_n4", "closed_form", "first_integral", "antiderivative"),
-    "identities": ("identities",),
 }
 
 
@@ -151,30 +142,10 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def resolve_tolerances(tol_overrides: Mapping[str, float] | None) -> dict[str, float]:
-    """Every tolerance key, with the ``"fd"`` and ``"identities"`` group
-    overrides applied.  Raises DomainError for any other override key and
-    for a value that is not a positive finite real number, such as a bool
-    (the report is JSON)."""
-    tols = dict(_DEFAULT_TOLS)
-    for group, value in (tol_overrides or {}).items():
-        if group not in _TOL_GROUPS:
-            raise DomainError(
-                f"unknown tolerance group {group!r}; expected one of {sorted(_TOL_GROUPS)}"
-            )
-        number = as_real(value, f"tolerance {group!r}")
-        if not 0.0 < number < math.inf:
-            raise DomainError(f"tolerance {group!r} must be positive and finite, got {value!r}")
-        for key in _TOL_GROUPS[group]:
-            tols[key] = number
-    return tols
-
-
 def _result(
     check_id: str,
     deviations: Iterable[float],
     scale: float,
-    tols: Mapping[str, float],
     key: str,
     note: str = "",
     required: bool = True,
@@ -184,19 +155,14 @@ def _result(
     # max() keeps a NaN only when it comes first; a NaN deviation fails the check.
     max_abs = math.nan if any(map(math.isnan, devs)) else max(devs, default=0.0)
     max_rel = max_abs / scale if scale > 0.0 else max_abs
-    tol = tols[key]
-    default_tol = _DEFAULT_TOLS[key]
-    passed = max_abs <= tol or max_rel <= tol
-    if not passed and (max_abs <= default_tol or max_rel <= default_tol):
-        extra = f"tolerance-bound: deviation within default tolerance {default_tol:g}"
-        note = f"{note}; {extra}" if note else extra
+    tol = _TOLS[key]
     return CheckResult(
         id=check_id,
         sample_count=sample_count if sample_count is not None else len(devs),
         max_abs_dev=max_abs,
         max_rel_dev=max_rel,
         tolerance=tol,
-        passed=passed,
+        passed=max_abs <= tol or max_rel <= tol,
         note=note,
         required=required,
     )
@@ -205,21 +171,20 @@ def _result(
 # --- closed forms vs. the nu-derivative oracle ----------------------------
 
 
-def check_closed_forms(tol_overrides: Mapping[str, float] | None = None) -> list[CheckResult]:
+def check_closed_forms() -> list[CheckResult]:
     """Compare the closed forms against the nu-Taylor oracle and p_derivs'
     tables on fixed grids, and pin the normalization values at z = 1."""
-    tols = resolve_tolerances(tol_overrides)
     results = []
 
     norm_devs = [abs(p_deriv(0, 1.0) - 1.0)] + [abs(p_deriv(n, 1.0)) for n in range(1, 5)]
-    results.append(_result("closed-form-normalization", norm_devs, 1.0, tols, "normalization"))
+    results.append(_result("closed-form-normalization", norm_devs, 1.0, "normalization"))
 
     oracle = [order_derivatives(z) for z in _FD_GRID]
     closed = [_closed_forms(z) for z in _FD_GRID]
     for n in range(1, 5):
         devs = [abs(forms[n - 1] - values[n]) for forms, values in zip(closed, oracle)]
         scale = max(abs(values[n]) for values in oracle)
-        results.append(_result(f"closed-form-fd-n{n}", devs, scale, tols, f"fd_n{n}"))
+        results.append(_result(f"closed-form-fd-n{n}", devs, scale, f"fd_n{n}"))
 
     # Pointwise relative, so that the check is as tight near z = +-1 as at 0;
     # p_derivs' unchecked door _row is p_deriv bit for bit, and is what render_table runs.
@@ -231,7 +196,7 @@ def check_closed_forms(tol_overrides: Mapping[str, float] | None = None) -> list
         "(sum|terms|/|P4| ~ 8.7e4 at z = 0.9); "
         "there the tables agree with mpmath to 3.7e-18 relative"
     )
-    results.append(_result("nu-tables-vs-closed-form", devs, 1.0, tols, "closed_form", note=note))
+    results.append(_result("nu-tables-vs-closed-form", devs, 1.0, "closed_form", note=note))
 
     # The pre-gathered fourth-derivative form: the same value composed
     # through the antiderivative frak_I instead of the gathered bracket.
@@ -250,7 +215,6 @@ def check_closed_forms(tol_overrides: Mapping[str, float] | None = None) -> list
             "p4-via-frak-I",
             devs,
             1.0,
-            tols,
             "p4_composition",
             note="pre-gathered composition through frak_I matches the gathered bracket",
         )
@@ -258,29 +222,25 @@ def check_closed_forms(tol_overrides: Mapping[str, float] | None = None) -> list
     return results
 
 
-def check_quadrature_recurrence(tol_overrides: Mapping[str, float] | None = None) -> list[CheckResult]:
+def check_quadrature_recurrence() -> list[CheckResult]:
     """Residuals of the recurrence integrated twice (``ode_residuals``) on the grid, n = 1..4."""
-    tols = resolve_tolerances(tol_overrides)
     rows = zip(*_ode_residuals(_ODE_GRID))
-    return [_result(f"ode-recurrence-n{n}", dev, 1.0, tols, f"ode_n{n}") for n, dev in enumerate(rows, 1)]
+    return [_result(f"ode-recurrence-n{n}", dev, 1.0, f"ode_n{n}") for n, dev in enumerate(rows, 1)]
 
 
 # --- section-2 polylogarithm identities ------------------------------------
 
 
-def check_identities(
-    tol_overrides: Mapping[str, float] | None = None, seed: int = DEFAULT_SEED
-) -> list[CheckResult]:
+def check_identities(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Residuals of the dilog reflection, dilog Landen and trilog identities."""
-    tols = resolve_tolerances(tol_overrides)
-    rng = random.Random(seed)
+    rng = random.Random(as_order(seed, -math.inf, math.inf, "seed"))
     xs = [rng.uniform(0.01, 0.99) for _ in range(100)]
     rows = (
         ("identity-dilog-reflection", dilog_reflection),
         ("identity-dilog-landen", dilog_landen),
         ("identity-trilog-landen", trilog_identity),
     )
-    return [_result(name, [abs(fn(x)) for x in xs], 1.0, tols, "identities") for name, fn in rows]
+    return [_result(name, [abs(fn(x)) for x in xs], 1.0, "identities") for name, fn in rows]
 
 
 # --- antiderivative displays (treated as hypotheses) -----------------------
@@ -295,8 +255,7 @@ _H = 2.0**-60
 
 
 def _complex_step(display: Callable, values: Sequence[float], slopes: Sequence[float]) -> list[float]:
-    stepped = [complex(v, _H * d) for v, d in zip(values, slopes)]
-    return [row.imag / _H for row in display(*stepped)]
+    return [row.imag / _H for row in display(*map(complex, values, map(_H.__mul__, slopes)))]
 
 
 def _t_displays(x: complex, lx: complex, lu: complex, *k: complex) -> tuple[complex, ...]:
@@ -364,16 +323,13 @@ def _frak_integrand(t: float) -> float:
     return math.log(t) * _li(2, t) / (1.0 - t)
 
 
-def check_appendix_a(
-    tol_overrides: Mapping[str, float] | None = None, seed: int = DEFAULT_SEED
-) -> list[CheckResult]:
+def check_appendix_a(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Differentiate-and-compare checks for the first integrals and the three long
     antiderivative displays, plus the inner-integral cancellation.  Each display is
     written once, in a family of formulas over kernel values:
     ``orderderiv._first_integral_displays`` or ``_t_displays``.  One complex-step
     evaluation of a family per point gives its rows' slopes."""
-    tols = resolve_tolerances(tol_overrides)
-    rng = random.Random(seed)
+    rng = random.Random(as_order(seed, -math.inf, math.inf, "seed"))
     zs = [rng.uniform(-0.9, 0.97) for _ in range(50)]
     ts = [rng.uniform(0.05, 0.95) for _ in range(50)]
     results = []
@@ -383,7 +339,7 @@ def check_appendix_a(
     z_targets = [_row(z) for z in zs]
     for eta in (1, 2):
         devs = [abs(s[eta - 1] - p[eta]) for s, p in zip(z_slopes, z_targets)]
-        results.append(_result(f"first-integral-{eta}", devs, 1.0, tols, "first_integral"))
+        results.append(_result(f"first-integral-{eta}", devs, 1.0, "first_integral"))
 
     # The eta = 3 display: try each candidate order for its ambiguous
     # polylogarithm and report the measured derivative defect (report-only).
@@ -400,7 +356,7 @@ def check_appendix_a(
         else:
             note = f"order Li_{order}: z-dependent mismatch (spread {spread:.2e})"
         row = f"first-integral-3-li{order}"
-        results.append(_result(row, devs, 1.0, tols, "first_integral", note=note, required=False))
+        results.append(_result(row, devs, 1.0, "first_integral", note=note, required=False))
 
     # Each row's target from the kernel of its point: Li_4(x/(x - 1)), Li_2(x)^2,
     # (ln x ln(1 - x))^2 and the frak_I integrand ln(x) Li_2(x)/(1 - x).
@@ -413,7 +369,7 @@ def check_appendix_a(
     for k, name in enumerate(("li4-landen", "li2-squared", "log-squares")):
         devs = [abs(slopes[k] - targets[k]) for slopes, targets in t_rows]
         row = f"antiderivative-{name}"
-        results.append(_result(row, devs, 1.0, tols, "antiderivative", required=k != 1))
+        results.append(_result(row, devs, 1.0, "antiderivative", required=k != 1))
 
     def integrand(zz: float) -> float:
         p = _row(zz)
@@ -425,12 +381,12 @@ def check_appendix_a(
         total += integrate(integrand, lo, z, tol=1e-11, flags=flags).value
         devs.append(abs(total - inner_integral_I(z)))
         lo, flags = z, EndpointFlag()
-    results.append(_result("inner-integral-cancellation", devs, 1.0, tols, "inner_integral_quad"))
+    results.append(_result("inner-integral-cancellation", devs, 1.0, "inner_integral_quad"))
 
     a, b = 2.0**-20, 1.0 - 2.0**-20
     q = integrate(_frak_integrand, a, b, tol=1e-10, flags=EndpointFlag(True, True))
     devs = [abs(q.value - (frak_I(b) - frak_I(a)))]
-    results.append(_result("frak-I-quadrature", devs, 1.0, tols, "frak_quad"))
+    results.append(_result("frak-I-quadrature", devs, 1.0, "frak_quad"))
 
     # Report-only: the antiderivative display variant whose 2 ln(t) Li_3(t)
     # term carries a plus sign is NOT an antiderivative of the integrand;
@@ -442,7 +398,7 @@ def check_appendix_a(
         "both endpoint limits unchanged"
     )
     row = "frak-I-display-variant"
-    results.append(_result(row, devs, 1.0, tols, "antiderivative", note=note, required=False))
+    results.append(_result(row, devs, 1.0, "antiderivative", note=note, required=False))
 
     # Report-only: the fourth-derivative bracket without its +pi^4/36
     # constant, measured against the oracle the same way the closed form is.
@@ -456,7 +412,6 @@ def check_appendix_a(
             "p4-display-constant",
             [abs(v) for v in offsets],
             1.0,
-            tols,
             "fd_n4",
             note=(
                 f"bracket without its pi^4/36 constant misses the oracle by "
@@ -536,9 +491,7 @@ def trigamma_sum_target() -> float:
     return 7.0 * _PI4 / 360.0
 
 
-def check_appendix_b(
-    terms: int = DEFAULT_SUM_TERMS, tol_overrides: Mapping[str, float] | None = None
-) -> list[CheckResult]:
+def check_appendix_b(terms: int = DEFAULT_SUM_TERMS) -> list[CheckResult]:
     """Endpoint limits of frak_I and the trigamma sums, with tail acceleration.
 
     In exact arithmetic ``trigamma-sum-intermediate`` is the accelerated sum
@@ -547,7 +500,6 @@ def check_appendix_b(
     sum's error at K = 1000.
     """
     terms = as_order(terms, 10**3, 10**8, "terms")
-    tols = resolve_tolerances(tol_overrides)
     results = []
 
     lim1 = frak_I_limit(1)
@@ -561,7 +513,6 @@ def check_appendix_b(
             "frak-limit-endpoints",
             devs,
             abs(lim0),
-            tols,
             "frak_limits",
             note=(
                 f"difference lim1-lim0 = -pi^4/120; observed approach: "
@@ -577,7 +528,7 @@ def check_appendix_b(
     )
     for name, value, target in sums:
         devs = [abs(value - target)]
-        results.append(_result(name, devs, target, tols, "sum", sample_count=terms))
+        results.append(_result(name, devs, target, "sum", sample_count=terms))
 
     # Brute-force slow convergence, measured against its predicted gap.
     naive_terms = 1000
@@ -589,7 +540,6 @@ def check_appendix_b(
             "trigamma-sum-naive-gap",
             [abs(gap - predicted_gap)],
             abs(predicted_gap),
-            tols,
             "sum",
             note=f"K={naive_terms} brute-force double sum misses by {gap:.6e} (slow 1/K convergence)",
             sample_count=naive_terms,
@@ -601,29 +551,26 @@ def check_appendix_b(
 # --- the suite --------------------------------------------------------------
 
 
-def run_suite(
-    tol_overrides: Mapping[str, float] | None = None,
-    seed: int = DEFAULT_SEED,
-    terms: int = DEFAULT_SUM_TERMS,
-) -> CheckReport:
+def run_suite(seed: int = DEFAULT_SEED, terms: int = DEFAULT_SUM_TERMS) -> CheckReport:
     """Run every check in a fixed order and assemble the deterministic report.
 
-    ``tol_overrides`` may set the ``"fd"`` and ``"identities"`` tolerance
-    groups; any other key raises DomainError.  The report's config echoes
-    every resolved tolerance key.
+    ``seed`` draws the identity and appendix-A samples and ``terms`` sets the
+    trigamma partial sums; a seed or terms that is not an integer (bool
+    included) raises DomainError.  The gates are fixed, and the report's config
+    echoes each of them.
     """
+    seed = as_order(seed, -math.inf, math.inf, "seed")
     terms = as_order(terms, 10**3, 10**8, "terms")
-    tols = resolve_tolerances(tol_overrides)
     results: list[CheckResult] = []
-    results.extend(check_closed_forms(tol_overrides))
-    results.extend(check_quadrature_recurrence(tol_overrides))
-    results.extend(check_identities(tol_overrides, seed=seed))
-    results.extend(check_appendix_a(tol_overrides, seed=seed))
-    results.extend(check_appendix_b(terms, tol_overrides))
+    results.extend(check_closed_forms())
+    results.extend(check_quadrature_recurrence())
+    results.extend(check_identities(seed))
+    results.extend(check_appendix_a(seed))
+    results.extend(check_appendix_b(terms))
     all_passed = all(r.passed for r in results if r.required)
     config = {
         "seed": seed,
         "sum_terms": terms,
-        "tolerances": {k: tols[k] for k in sorted(tols)},
+        "tolerances": dict(sorted(_TOLS.items())),
     }
     return CheckReport(results=tuple(results), all_passed=all_passed, config=config)

@@ -24,6 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 from legderiv import (
     ConvergenceError,
     DomainError,
+    EndpointFlag,
     dilog_landen,
     dilog_reflection,
     first_integral,
@@ -41,7 +42,7 @@ from legderiv import (
     zeta_const,
 )
 from legderiv.cli import TableSpec, main
-from legderiv.verify import resolve_tolerances, trigamma_sum
+from legderiv.verify import trigamma_sum
 
 ANY_Z = st.floats() | st.floats(min_value=-1.0, max_value=1.0)
 ANY_X = st.floats() | st.floats(min_value=-10.0, max_value=1.0)
@@ -49,6 +50,11 @@ ANY_T = st.floats() | st.floats(min_value=0.0, max_value=1.0)
 ANY_BOUND = st.floats() | st.floats(min_value=-10.0, max_value=10.0)
 # Partial-sum lengths: small enough to sum quickly, or too large to accept.
 ANY_TERMS = st.integers(max_value=300) | st.integers(min_value=10**8 + 1)
+# Endpoint flags: each EndpointFlag, and values that are not one.
+ANY_FLAGS = st.sampled_from(
+    [EndpointFlag(lo, hi) for lo in (False, True) for hi in (False, True)]
+    + [None, (True, False), "lower", True, {"lower_singular": True}]
+)
 # Integer-like arguments: ints about the accepted range, and floats and bools,
 # which no order-like argument accepts.
 ANY_INT = st.integers(min_value=-3, max_value=8) | st.floats() | st.booleans()
@@ -143,24 +149,26 @@ def test_ode_residual(z):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(ANY_BOUND, ANY_BOUND)
-@example(0.0, math.inf)
-@example(-1e308, 1e308)
-@example(1.0, math.nextafter(1.0, 2.0))
-@example(-1e300, 1e300)
-def test_integrate(a, b):
+@given(ANY_BOUND, ANY_BOUND, ANY_FLAGS)
+@example(0.0, math.inf, EndpointFlag())
+@example(-1e308, 1e308, EndpointFlag())
+@example(1.0, math.nextafter(1.0, 2.0), EndpointFlag())
+@example(-1e300, 1e300, EndpointFlag())
+@example(0.0, 1.0, None)
+def test_integrate(a, b, flags):
     # the integrand is only ever called strictly inside (a, b); a panel cap
     # that the error estimate does not meet raises ConvergenceError
     def cos_inside(x):
         assert a < x < b, (a, b, x)
         return math.cos(x)
 
-    def integrate_cos(a, b):
-        result = integrate(cos_inside, a, b)
+    def integrate_cos(a, b, flags):
+        result = integrate(cos_inside, a, b, flags=flags)
         return result.value, result.abs_error_estimate
 
     in_domain = a < b and math.isfinite(b - a) and math.nextafter(a, b) < b
-    obeys_contract(integrate_cos, (a, b), in_domain, may_not_converge=True)
+    in_domain = in_domain and isinstance(flags, EndpointFlag)
+    obeys_contract(integrate_cos, (a, b, flags), in_domain, may_not_converge=True)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -217,7 +225,6 @@ REAL_ARGUMENTS = {
     "integrate_b": lambda x: integrate(math.cos, 0.0, x).value,
     "integrate_tol": lambda x: integrate(math.cos, 0.0, 1.0, tol=x).value,
     "TableSpec": lambda x: TableSpec(orders=(1,), z_start=x, z_end=1.0, steps=2, fmt="csv").z_start,
-    "tolerance_override": lambda x: resolve_tolerances({"fd": x})["fd_n1"],
 }
 
 

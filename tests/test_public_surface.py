@@ -66,12 +66,12 @@ PARAMETERS = {
     "order_derivatives": ["z", "max_terms"],
     "ode_residuals": ["z"],
     "integrate": ["f", "a", "b", "tol", "flags", "max_panels"],
-    "check_closed_forms": ["tol_overrides"],
-    "check_quadrature_recurrence": ["tol_overrides"],
-    "check_identities": ["tol_overrides", "seed"],
-    "check_appendix_a": ["tol_overrides", "seed"],
-    "check_appendix_b": ["terms", "tol_overrides"],
-    "run_suite": ["tol_overrides", "seed", "terms"],
+    "check_closed_forms": [],
+    "check_quadrature_recurrence": [],
+    "check_identities": ["seed"],
+    "check_appendix_a": ["seed"],
+    "check_appendix_b": ["terms"],
+    "run_suite": ["seed", "terms"],
     "trigamma_sum": ["terms", "accelerate"],
     "trigamma_sum_target": [],
 }
@@ -80,7 +80,7 @@ CLI_OPTIONS = {
     None: [["--version"]],
     "eval": [["--n"], ["--z"]],
     "table": [["--orders"], ["--z-start"], ["--z-end"], ["--steps"], ["--format"], ["--output"]],
-    "verify": [["--json"], ["--tol-fd"], ["--tol-identities"], ["--seed"], ["--sum-terms"]],
+    "verify": [["--json"], ["--seed"], ["--sum-terms"]],
     "sum-trigamma": [["terms"], ["--no-accelerate"]],
 }
 

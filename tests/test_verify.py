@@ -1,4 +1,4 @@
-"""Harness behaviour: determinism, required/informational split, overrides."""
+"""Harness behaviour: determinism, required/informational split, fixed gates."""
 
 import hashlib
 import json
@@ -26,7 +26,7 @@ from legderiv import (
     trigamma_sum_target,
 )
 from legderiv import oracle, orderderiv, polylog, verify
-from legderiv.verify import _complex_step, _t_kernel, _z_kernel, resolve_tolerances
+from legderiv.verify import _complex_step, _t_kernel, _z_kernel
 
 # The report schema: every check id in report order, with its required flag.
 # Dropping, renaming or reordering a check means editing this list.
@@ -129,40 +129,6 @@ class TestSuite:
             for k in keys
         )
 
-    def test_tightened_fd_tolerance_flags_floor(self):
-        tight = run_suite(tol_overrides={"fd": 1e-14})
-        assert not tight.all_passed
-        failures = [r for r in tight.results if r.required and not r.passed]
-        assert failures
-        # every failure is the rounding floor, not a wrong formula
-        for r in failures:
-            assert "tolerance-bound" in r.note
-            assert r.max_abs_dev <= resolve_tolerances(None)[_default_key(r.id)]
-
-    def test_unknown_override_rejected(self):
-        # only the two groups the CLI sets are overridable; single keys are not
-        for key in ("bogus", "ode", "quadrature", "sum", "fd_n1", "normalization"):
-            with pytest.raises(DomainError):
-                run_suite(tol_overrides={key: 1e-3})
-        # so is any value that is not a positive finite number
-        for value in (None, "abc", [1e-3], float("nan"), math.inf, 0.0, -1e-3, True):
-            with pytest.raises(DomainError):
-                run_suite(tol_overrides={"fd": value})
-
-    def test_override_groups(self):
-        defaults = resolve_tolerances(None)
-        tols = resolve_tolerances({"fd": 0.5, "identities": 0.25})
-        assert set(tols) == set(defaults) and len(tols) == 18
-        fd_group = {"fd_n1", "fd_n2", "fd_n3", "fd_n4", "closed_form", "first_integral",
-                    "antiderivative"}
-        for key, value in tols.items():
-            if key in fd_group:
-                assert value == 0.5
-            elif key == "identities":
-                assert value == 0.25
-            else:
-                assert value == defaults[key]
-
     def test_terms_validation(self):
         for terms in (1500.0, True, 999, 10**8 + 1):
             with pytest.raises(DomainError):
@@ -170,13 +136,13 @@ class TestSuite:
         doc = json.loads(run_suite(terms=np.int64(1000)).to_json())
         assert doc["config"]["sum_terms"] == 1000 and doc["all_passed"]
 
-
-def _default_key(check_id: str) -> str:
-    if check_id.startswith("closed-form-fd-n"):
-        return "fd_" + check_id[-2:]
-    if check_id.startswith("first-integral"):
-        return "first_integral"
-    return "antiderivative"
+    def test_seed_validation(self):
+        # the config echoes the seed, so a report is reproducible from its own config
+        for seed in (None, True, 1.5, "abc", 7.0):
+            for check in (run_suite, check_identities, check_appendix_a):
+                with pytest.raises(DomainError):
+                    check(seed=seed)
+        assert run_suite(seed=np.int64(7)).to_json() == run_suite(seed=7).to_json()
 
 
 class TestIndividualChecks:
@@ -434,7 +400,7 @@ class TestCheckResultType:
     @pytest.mark.parametrize("scale", [1.0, 0.0])
     def test_non_finite_deviation_fails(self, devs, scale):
         # max() drops a NaN that does not come first; the check must not pass
-        result = verify._result("x", devs, scale, verify._DEFAULT_TOLS, "fd_n1")
+        result = verify._result("x", devs, scale, "fd_n1")
         assert not result.passed
         assert not math.isfinite(result.max_abs_dev)
 
@@ -444,7 +410,7 @@ class TestCheckResultType:
             raise ValueError(f"non-standard JSON constant {name}")
 
         results = tuple(
-            verify._result(name, devs, 1.0, verify._DEFAULT_TOLS, "fd_n1")
+            verify._result(name, devs, 1.0, "fd_n1")
             for name, devs in (("nan", [math.nan]), ("inf", [1e-16, math.inf]), ("ok", [1e-16]))
         )
         report = verify.CheckReport(results=results, all_passed=False)
