@@ -26,7 +26,7 @@ import math
 
 from .exceptions import ConvergenceError, DomainError
 from .orderderiv import _row
-from .polylog import as_order, as_real
+from .polylog import as_real
 from .quadrature import _integrate
 
 __all__ = ["order_derivatives", "ode_residuals"]
@@ -35,9 +35,7 @@ _SERIES_CAP = 100_000
 _Z_FLOOR = -0.9  # series ratio (1-z)/2 reaches 0.95 here; trust ends
 
 
-def order_derivatives(
-    z: float, max_terms: int = _SERIES_CAP
-) -> tuple[float, float, float, float, float]:
+def order_derivatives(z: float) -> tuple[float, float, float, float, float]:
     """(P0, P1, P2, P3, P4) with Pn = [d^n P_nu(z)/d nu^n] at nu = 0, z in (-0.9, 1].
 
     Runs the term recurrence of the series with each term held as its
@@ -45,11 +43,10 @@ def order_derivatives(
     summed nu^n coefficient.  Within 1e-14 relative for n = 1..4 on the
     whole domain (at most 3.5e-15 against mpmath, down to z = -0.9 + 2^-53).
 
-    ``max_terms``, an integer >= 1, caps the terms: ConvergenceError if the sum has
-    not settled within it.  The least caps that converge are 629 terms at
+    The terms are capped at ``_SERIES_CAP``: ConvergenceError if the sum has not
+    settled within it.  The least caps that converge are 629 terms at
     z = -0.9 + 2^-53, 124 at -0.5, 55 at 0 and 2 at 1.
     """
-    max_terms = as_order(max_terms, 1, math.inf, "max_terms")
     z = as_real(z, "order_derivatives argument")
     if not _Z_FLOOR < z <= 1.0:
         raise DomainError(f"order_derivatives expects z in ({_Z_FLOOR}, 1], got {z!r}")
@@ -57,7 +54,7 @@ def order_derivatives(
     # the nu^0..nu^4 coefficients of the term (c) and of the sum (s)
     c0, c1, c2, c3, c4 = s0, s1, s2, s3, s4 = 1.0, 0.0, 0.0, 0.0, 0.0
     tiny_streak = 0
-    for k in range(max_terms):
+    for k in range(_SERIES_CAP):
         # Multiply by (k - nu)(k + 1 + nu) = k(k+1) - nu - nu^2, then x/(k+1)^2.
         kk = k * (k + 1.0)
         scale = x / ((k + 1.0) * (k + 1.0))
@@ -80,7 +77,7 @@ def order_derivatives(
         else:
             tiny_streak = 0
     raise ConvergenceError(
-        f"nu-Taylor series for the order-derivatives did not converge in {max_terms} terms"
+        f"nu-Taylor series for the order-derivatives did not converge in {_SERIES_CAP} terms"
     )
 
 

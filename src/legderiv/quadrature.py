@@ -24,7 +24,7 @@ from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .exceptions import ConvergenceError, DomainError
-from .polylog import as_order, as_real
+from .polylog import as_real
 
 __all__ = ["EndpointFlag", "QuadResult", "integrate"]
 
@@ -56,6 +56,10 @@ class EndpointFlag:
 
     lower_singular: bool = False
     upper_singular: bool = False
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.lower_singular, bool) and isinstance(self.upper_singular, bool)):
+            raise DomainError(f"EndpointFlag fields must be bools, got {self!r}")
 
 
 @dataclass(frozen=True)
@@ -116,7 +120,6 @@ def _integrate(
     b: float,
     tol: float = _DEFAULT_TOL,
     flags: EndpointFlag = EndpointFlag(),
-    max_panels: int = _MAX_PANELS,
 ) -> tuple[tuple[float, ...], float, int]:
     """``integrate`` of each component that ``columns(xs)`` returns, one
     sequence of values at the nodes xs per component.
@@ -133,7 +136,6 @@ def _integrate(
     # NaN would end refinement at once.
     if not as_real(tol, "tolerance") >= _MIN_TOL:
         raise DomainError(f"tolerance must be a number >= {_MIN_TOL:g}, got {tol!r}")
-    max_panels = as_order(max_panels, 1, math.inf, "max_panels")
     if not isinstance(flags, EndpointFlag):
         raise DomainError(f"flags must be an EndpointFlag, got {flags!r}")
 
@@ -156,9 +158,9 @@ def _integrate(
         total_err += err
 
     while total_err > tol:
-        if panels >= max_panels:
+        if panels >= _MAX_PANELS:
             raise ConvergenceError(
-                f"quadrature did not reach tol={tol:g} within {max_panels} panels "
+                f"quadrature did not reach tol={tol:g} within {_MAX_PANELS} panels "
                 f"(estimate {total_err:g})"
             )
         neg_err, _, lo, hi, _, chart = heapq.heappop(heap)
@@ -183,15 +185,14 @@ def integrate(
     b: float,
     tol: float = _DEFAULT_TOL,
     flags: EndpointFlag = EndpointFlag(),
-    max_panels: int = _MAX_PANELS,
 ) -> QuadResult:
     """Adaptively integrate f over (a, b) to absolute tolerance ``tol``.
 
     The integrand must be evaluable on the open interval; it is never
     called at a or b.  Raises DomainError unless a < b, b - a is finite, a
     float lies strictly between them and ``flags`` is an EndpointFlag.  Raises
-    ConvergenceError if ``max_panels`` panels do not bring the error estimate
+    ConvergenceError if ``_MAX_PANELS`` panels do not bring the error estimate
     under ``tol``, or if a panel's value or error estimate is not finite.
     """
-    (value,), err, panels = _integrate(lambda xs: ([*map(f, xs)],), a, b, tol, flags, max_panels)
+    (value,), err, panels = _integrate(lambda xs: ([*map(f, xs)],), a, b, tol, flags)
     return QuadResult(value=value, abs_error_estimate=err, subdivisions=panels)

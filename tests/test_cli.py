@@ -235,9 +235,12 @@ class TestVerify:
         assert ["FAIL", "nu-tables-vs-closed-form"] in [row[:2] for row in rows]
 
     def test_bad_flag_exits_two(self, runner):
-        # there is no tolerance flag to loosen a gate with
-        result = runner.invoke(main, ["verify", "--tol-fd", "1e-12"])
-        assert result.exit_code == 2
+        # there is no tolerance flag to loosen a gate with, and the trigamma rows
+        # walk K = 1000, which no flag sets
+        for flag in (["--tol-fd", "1e-12"], ["--sum-terms", "1000"]):
+            result = runner.invoke(main, ["verify", *flag])
+            assert result.exit_code == 2, flag
+            assert "No such option" in result.stderr, flag
 
 
 class TestSumTrigamma:

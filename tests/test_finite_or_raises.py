@@ -5,9 +5,8 @@ values or exits 2 with a one-line message.
 Arguments are drawn from all doubles (NaN, +/-inf and subnormals included)
 and, separately, from the documented domains.  Each draw is sorted by the
 domain's own predicate: an in-domain draw must return a finite value, and an
-out-of-domain draw must raise DomainError.  Only ``integrate``, which states a
-panel cap, and ``order_derivatives`` under a small ``max_terms`` may raise
-ConvergenceError inside their domains.
+out-of-domain draw must raise DomainError.  Only ``integrate``, whose panel cap
+an integrand may outrun, may raise ConvergenceError inside its domain.
 """
 
 import math
@@ -50,11 +49,15 @@ ANY_T = st.floats() | st.floats(min_value=0.0, max_value=1.0)
 ANY_BOUND = st.floats() | st.floats(min_value=-10.0, max_value=10.0)
 # Partial-sum lengths: small enough to sum quickly, or too large to accept.
 ANY_TERMS = st.integers(max_value=300) | st.integers(min_value=10**8 + 1)
-# Endpoint flags: each EndpointFlag, and values that are not one.
-ANY_FLAGS = st.sampled_from(
-    [EndpointFlag(lo, hi) for lo in (False, True) for hi in (False, True)]
-    + [None, (True, False), "lower", True, {"lower_singular": True}]
+# Endpoint flags: the two fields of an EndpointFlag, bools or not, from which the test
+# builds one (a field that is not a bool raises DomainError then), and values that are
+# not an EndpointFlag.
+FLAG_FIELD = st.sampled_from([False, True, "no", None, 0, np.bool_(True)])
+ANY_FLAGS = st.tuples(FLAG_FIELD, FLAG_FIELD) | st.sampled_from(
+    [None, [True, False], "lower", True, {"lower_singular": True}]
 )
+# accelerate: bools, and truthy or falsy values that are not one.
+ANY_ACCELERATE = st.booleans() | st.sampled_from(["no", "", None, 0, 1, np.bool_(True)])
 # Integer-like arguments: ints about the accepted range, and floats and bools,
 # which no order-like argument accepts.
 ANY_INT = st.integers(min_value=-3, max_value=8) | st.floats() | st.booleans()
@@ -132,16 +135,6 @@ def test_order_derivatives(z):
     obeys_contract(order_derivatives, (z,), -0.9 < z <= 1.0)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.floats(min_value=-0.9, max_value=1.0, exclude_min=True), ANY_INT | st.integers(min_value=1000))
-def test_order_derivatives_max_terms(z, max_terms):
-    # the series needs at most about 630 terms on the domain (near z = -0.9), so a
-    # smaller cap may stop it, and a cap of 1000 or more may not
-    in_domain = is_int(max_terms) and max_terms >= 1
-    may_not_converge = in_domain and max_terms < 1000
-    obeys_contract(order_derivatives, (z, max_terms), in_domain, may_not_converge)
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(ANY_Z)
 def test_ode_residual(z):
@@ -150,11 +143,12 @@ def test_ode_residual(z):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(ANY_BOUND, ANY_BOUND, ANY_FLAGS)
-@example(0.0, math.inf, EndpointFlag())
-@example(-1e308, 1e308, EndpointFlag())
-@example(1.0, math.nextafter(1.0, 2.0), EndpointFlag())
-@example(-1e300, 1e300, EndpointFlag())
+@example(0.0, math.inf, (False, False))
+@example(-1e308, 1e308, (False, False))
+@example(1.0, math.nextafter(1.0, 2.0), (False, False))
+@example(-1e300, 1e300, (False, False))
 @example(0.0, 1.0, None)
+@example(0.0, 1.0, ("no", None))
 def test_integrate(a, b, flags):
     # the integrand is only ever called strictly inside (a, b); a panel cap
     # that the error estimate does not meet raises ConvergenceError
@@ -163,18 +157,21 @@ def test_integrate(a, b, flags):
         return math.cos(x)
 
     def integrate_cos(a, b, flags):
+        if type(flags) is tuple:
+            flags = EndpointFlag(*flags)
         result = integrate(cos_inside, a, b, flags=flags)
         return result.value, result.abs_error_estimate
 
     in_domain = a < b and math.isfinite(b - a) and math.nextafter(a, b) < b
-    in_domain = in_domain and isinstance(flags, EndpointFlag)
+    in_domain = in_domain and type(flags) is tuple and all(type(f) is bool for f in flags)
     obeys_contract(integrate_cos, (a, b, flags), in_domain, may_not_converge=True)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(ANY_TERMS | st.floats() | st.booleans(), st.booleans())
+@given(ANY_TERMS | st.floats() | st.booleans(), ANY_ACCELERATE)
 def test_trigamma_sum(terms, accelerate):
-    obeys_contract(trigamma_sum, (terms, accelerate), is_int(terms) and 1 <= terms <= 10**8)
+    in_domain = is_int(terms) and 1 <= terms <= 10**8 and type(accelerate) is bool
+    obeys_contract(trigamma_sum, (terms, accelerate), in_domain)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -206,6 +203,23 @@ def test_frak_I_limit(endpoint):
 @given(x=ANY_T)
 def test_identity_residuals(identity, x):
     obeys_contract(identity, (x,), in_unit_interval(x))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.integers(min_value=-1, max_value=5)
+    | st.none()
+    | st.text(max_size=3)
+    | st.lists(st.integers(min_value=-1, max_value=5), max_size=6)
+)
+@example(3)
+def test_table_spec_orders(orders):
+    # a nonempty list of distinct orders in 0..4; an int is not a list of one
+    def first_z(orders):
+        return TableSpec(orders=orders, z_start=0.0, z_end=1.0, steps=2, fmt="csv").z_start
+
+    in_domain = type(orders) is list and orders and all(0 <= n <= 4 for n in orders)
+    obeys_contract(first_z, (orders,), in_domain and len(set(orders)) == len(orders))
 
 
 # Every real argument, at 0.5 inside its domain: one rule, polylog.as_real, for all.

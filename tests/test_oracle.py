@@ -4,7 +4,6 @@ import math
 import random
 
 import mpmath as mp
-import numpy as np
 import pytest
 
 from legderiv import (
@@ -95,9 +94,10 @@ class TestOrderDerivativeFD:
             assert [v.hex() for v in order_derivatives(z)] == [v.hex() for v in _list_loop(z)], z
 
     @pytest.mark.parametrize("z", [-0.85, 0.3, 0.99])
-    def test_term_cap_is_the_list_loops(self, z):
+    def test_term_cap_is_the_list_loops(self, z, monkeypatch):
         # the least cap that converges, found on the reference by bisection, is
-        # the scalar loop's too: one term fewer raises ConvergenceError
+        # the scalar loop's too: one term fewer raises ConvergenceError; the loop
+        # reads oracle._SERIES_CAP when called
         def converges(cap):
             try:
                 _list_loop(z, cap)
@@ -109,24 +109,22 @@ class TestOrderDerivativeFD:
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (lo, mid) if converges(mid) else (mid, hi)
-        assert order_derivatives(z, max_terms=hi) == _list_loop(z, hi)
-        with pytest.raises(ConvergenceError):
-            order_derivatives(z, max_terms=lo)
-        with pytest.raises(ConvergenceError):
-            order_derivatives(z, max_terms=1)
+        monkeypatch.setattr(oracle, "_SERIES_CAP", hi)
+        assert order_derivatives(z) == _list_loop(z, hi)
+        for cap in (lo, 1):
+            monkeypatch.setattr(oracle, "_SERIES_CAP", cap)
+            with pytest.raises(ConvergenceError):
+                order_derivatives(z)
 
     def test_domain(self):
         for z in (-0.9, 1.1, float("nan")):
             with pytest.raises(DomainError):
                 order_derivatives(z)
 
-    def test_term_cap(self):
-        with pytest.raises(ConvergenceError):
-            order_derivatives(-0.85, max_terms=5)
-        assert order_derivatives(0.3, max_terms=np.int64(500)) == order_derivatives(0.3)
-        for cap in (True, 2.5, 500.0, 0):
-            with pytest.raises(DomainError):
-                order_derivatives(0.3, max_terms=cap)
+    def test_term_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_SERIES_CAP", 5)
+        with pytest.raises(ConvergenceError, match="in 5 terms"):
+            order_derivatives(-0.85)
 
 
 class TestOdeResidual:

@@ -63,15 +63,15 @@ PARAMETERS = {
     "dilog_reflection": ["x"],
     "dilog_landen": ["x"],
     "trilog_identity": ["x"],
-    "order_derivatives": ["z", "max_terms"],
+    "order_derivatives": ["z"],
     "ode_residuals": ["z"],
-    "integrate": ["f", "a", "b", "tol", "flags", "max_panels"],
+    "integrate": ["f", "a", "b", "tol", "flags"],
     "check_closed_forms": [],
     "check_quadrature_recurrence": [],
     "check_identities": ["seed"],
     "check_appendix_a": ["seed"],
-    "check_appendix_b": ["terms"],
-    "run_suite": ["seed", "terms"],
+    "check_appendix_b": [],
+    "run_suite": ["seed"],
     "trigamma_sum": ["terms", "accelerate"],
     "trigamma_sum_target": [],
 }
@@ -80,7 +80,7 @@ CLI_OPTIONS = {
     None: [["--version"]],
     "eval": [["--n"], ["--z"]],
     "table": [["--orders"], ["--z-start"], ["--z-end"], ["--steps"], ["--format"], ["--output"]],
-    "verify": [["--json"], ["--seed"], ["--sum-terms"]],
+    "verify": [["--json"], ["--seed"]],
     "sum-trigamma": [["terms"], ["--no-accelerate"]],
 }
 
