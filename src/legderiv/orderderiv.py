@@ -30,12 +30,13 @@ built in range; the closed forms call ``polylog._li`` alike.  They stay as
 The module also carries every intermediate closed form the P4 derivation
 runs through: the inner integral I(z) = (1+z) P3(z), the antiderivative
 frak_I of ln(t) Li_2(t)/(1-t) with its endpoint limits, the first
-integrals int^z P_eta dz', and residual evaluators for the dilogarithm
-reflection, the dilogarithm Landen transform, and the three-term
-trilogarithm identity.  ``_frak_I`` and ``_first_integral_displays`` are the
-frak_I and first-integral displays over their kernel values (``_frak_kernel``,
-``_first_integral_kernel``); they take only +, - and *, so the verification
-suite differentiates them on values v + i*slope.
+integrals int^z P_eta dz', and the residuals of the dilogarithm reflection,
+the dilogarithm Landen transform and the three-term trilogarithm identity.
+``_frak_I`` and ``_first_integral_displays`` are the frak_I and first-integral
+displays over their kernel values (``_frak_kernel``, ``_first_integral_kernel``);
+they take only +, - and *, so the verification suite differentiates them on
+values v + i*slope.  ``_identity_residuals(x)`` is the residual family: each
+public residual is one element of it, and the suite reads all three per x.
 
 Only P1 and P3 diverge as z -> -1 (the ln(t) coefficient sin(pi nu)/pi is odd
 in nu; P2 -> -pi^2/3, P4 -> pi^4/5); z = -1 is a domain error for n >= 1.
@@ -322,17 +323,27 @@ def _check_unit_interval(x: float) -> float:
     return x
 
 
+def _identity_residuals(x: float) -> tuple[float, float, float]:
+    # The dilog reflection, dilog Landen and three-term trilog residuals at x in (0, 1),
+    # over one ln x, ln(1 - x), 1 - x, x/(x - 1) and Li_2(x).
+    lx, lu = math.log(x), math.log1p(-x)
+    u, w = 1.0 - x, x / (x - 1.0)
+    li2x = _li(2, x)
+    reflection = _li(2, u) + li2x - _PI2 / 6.0 + lx * lu
+    landen = _li(2, w) + li2x + 0.5 * lu * lu
+    lhs = _li(3, w) + _li(3, u) + _li(3, x) - _ZETA3
+    rhs = _PI2 / 6.0 * lu - 0.5 * lx * lu * lu + lu**3 / 6.0
+    return reflection, landen, lhs - rhs
+
+
 def dilog_reflection(x: float) -> float:
     """Residual of Li_2(1-x) + Li_2(x) - pi^2/6 + ln(x) ln(1-x); ~0 on (0,1)."""
-    x = _check_unit_interval(x)
-    return _li(2, 1.0 - x) + _li(2, x) - _PI2 / 6.0 + math.log(x) * math.log1p(-x)
+    return _identity_residuals(_check_unit_interval(x))[0]
 
 
 def dilog_landen(x: float) -> float:
     """Residual of Li_2(x/(x-1)) + Li_2(x) + ln^2(1-x)/2; ~0 on (0,1)."""
-    x = _check_unit_interval(x)
-    lu = math.log1p(-x)
-    return _li(2, x / (x - 1.0)) + _li(2, x) + 0.5 * lu * lu
+    return _identity_residuals(_check_unit_interval(x))[1]
 
 
 def trilog_identity(x: float) -> float:
@@ -341,9 +352,4 @@ def trilog_identity(x: float) -> float:
     Li_3(x/(x-1)) + Li_3(1-x) + Li_3(x) - zeta(3)
         = pi^2/6 ln(1-x) - 1/2 ln(x) ln^2(1-x) + 1/6 ln^3(1-x)
     """
-    x = _check_unit_interval(x)
-    lx = math.log(x)
-    lu = math.log1p(-x)
-    lhs = _li(3, x / (x - 1.0)) + _li(3, 1.0 - x) + _li(3, x) - _ZETA3
-    rhs = _PI2 / 6.0 * lu - 0.5 * lx * lu * lu + lu**3 / 6.0
-    return lhs - rhs
+    return _identity_residuals(_check_unit_interval(x))[2]

@@ -30,18 +30,8 @@ from typing import Callable, Iterable, Sequence
 from .exceptions import DomainError
 from .oracle import _ode_residuals, order_derivatives
 from .orderderiv import _first_integral_displays, _first_integral_kernel, _frak_I, _frak_kernel
-from .orderderiv import (
-    _PI4,
-    _closed_forms,
-    _row,
-    frak_I,
-    frak_I_limit,
-    inner_integral_I,
-    p_deriv,
-    dilog_landen,
-    dilog_reflection,
-    trilog_identity,
-)
+from .orderderiv import _PI4, _closed_forms, _identity_residuals, _row
+from .orderderiv import frak_I, frak_I_limit, inner_integral_I, p_deriv
 from .polylog import _li, _zeta_tail, as_order, trigamma, zeta_const
 from .quadrature import EndpointFlag, integrate
 
@@ -133,7 +123,7 @@ class CheckReport:
 
     def to_text(self) -> str:
         lines = []
-        width = max(len(r.id) for r in self.results)
+        width = max((len(r.id) for r in self.results), default=0)
         for r in self.results:
             status = "PASS" if r.passed else ("FAIL" if r.required else "info")
             lines.append(
@@ -182,10 +172,11 @@ def check_closed_forms() -> list[CheckResult]:
     norm_devs = [abs(p_deriv(0, 1.0) - 1.0)] + [abs(p_deriv(n, 1.0)) for n in range(1, 5)]
     results.append(_result("closed-form-normalization", norm_devs, 1.0, "normalization"))
 
+    # One closed-form row per distinct z of the two grids, which hold every z below.
+    closed = {z: _closed_forms(z) for z in dict.fromkeys(_FD_GRID + _TABLE_GRID)}
     oracle = [order_derivatives(z) for z in _FD_GRID]
-    closed = [_closed_forms(z) for z in _FD_GRID]
     for n in range(1, 5):
-        devs = [abs(forms[n - 1] - values[n]) for forms, values in zip(closed, oracle)]
+        devs = [abs(closed[z][n - 1] - values[n]) for z, values in zip(_FD_GRID, oracle)]
         scale = max(abs(values[n]) for values in oracle)
         results.append(_result(f"closed-form-fd-n{n}", devs, scale, f"fd_n{n}"))
 
@@ -193,7 +184,7 @@ def check_closed_forms() -> list[CheckResult]:
     # p_derivs' unchecked door _row is p_deriv bit for bit, and is what render_table runs.
     devs = []
     for z in _TABLE_GRID:
-        devs += [abs(form / value - 1.0) for form, value in zip(_closed_forms(z), _row(z)[1:])]
+        devs += [abs(form / value - 1.0) for form, value in zip(closed[z], _row(z)[1:])]
     note = (
         "the P4 display loses 3-4 digits to cancellation for z >= 0.9 "
         "(sum|terms|/|P4| ~ 8.7e4 at z = 0.9); "
@@ -212,7 +203,7 @@ def check_closed_forms() -> list[CheckResult]:
         composed = _PI4 / 15.0 + 24.0 * (
             li2t**2 + 2.0 * lu * (li3t - zeta_const(3)) + zeta_const(2) * li2u + _frak_I(*kernel[1:])
         )
-        devs.append(abs(composed - _closed_forms(z)[3]))
+        devs.append(abs(composed - closed[z][3]))
     results.append(
         _result(
             "p4-via-frak-I",
@@ -238,12 +229,9 @@ def check_identities(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Residuals of the dilog reflection, dilog Landen and trilog identities."""
     rng = random.Random(as_order(seed, -math.inf, math.inf, "seed"))
     xs = [rng.uniform(0.01, 0.99) for _ in range(100)]
-    rows = (
-        ("identity-dilog-reflection", dilog_reflection),
-        ("identity-dilog-landen", dilog_landen),
-        ("identity-trilog-landen", trilog_identity),
-    )
-    return [_result(name, [abs(fn(x)) for x in xs], 1.0, "identities") for name, fn in rows]
+    names = ("identity-dilog-reflection", "identity-dilog-landen", "identity-trilog-landen")
+    columns = zip(*map(_identity_residuals, xs))
+    return [_result(name, map(abs, col), 1.0, "identities") for name, col in zip(names, columns)]
 
 
 # --- antiderivative displays (treated as hypotheses) -----------------------

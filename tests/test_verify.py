@@ -1,6 +1,7 @@
 """Harness behaviour: determinism, required/informational split, fixed gates."""
 
 import hashlib
+import importlib
 import json
 import math
 
@@ -27,6 +28,9 @@ from legderiv import (
 )
 from legderiv import oracle, orderderiv, polylog, verify
 from legderiv.verify import _complex_step, _t_kernel, _z_kernel
+
+# the module, which the package's polylog function shadows
+polylog_module = importlib.import_module("legderiv.polylog")
 
 # The report schema: every check id in report order, with its required flag.
 # Dropping, renaming or reordering a check means editing this list.
@@ -184,6 +188,32 @@ class TestIndividualChecks:
             assert result.passed
             assert result.max_abs_dev <= 1e-12
             assert result.sample_count == 100
+
+    def test_identities_and_closed_forms_evaluate_each_point_once(self, monkeypatch):
+        # one identity family call per x: 6 _li calls for 100 x, plus one inversion
+        # hop at each of Li_2 and Li_3 at x/(x - 1) for the 46 x > 1/2 (inversion
+        # re-enters through polylog._li); one _closed_forms call per distinct z of
+        # _FD_GRID + _TABLE_GRID
+        counts = {"li": 0, "closed": 0}
+        li = polylog_module._li
+
+        def counted_li(s, x):
+            counts["li"] += 1
+            return li(s, x)
+
+        for module in (polylog_module, orderderiv):
+            monkeypatch.setattr(module, "_li", counted_li)
+        check_identities(20140412)
+        assert counts["li"] == 692
+        closed_forms = verify._closed_forms
+
+        def counted_closed_forms(z):
+            counts["closed"] += 1
+            return closed_forms(z)
+
+        monkeypatch.setattr(verify, "_closed_forms", counted_closed_forms)
+        check_closed_forms()
+        assert counts["closed"] == 21
 
     def test_appendix_a_split(self):
         rows = {r.id: r for r in check_appendix_a()}
@@ -419,6 +449,11 @@ class TestCheckResultType:
         assert [(r["max_abs_dev"], r["max_rel_dev"]) for r in rows] == [
             (None, None), (None, None), (1e-16, 1e-16)
         ]
+
+    def test_empty_report(self):
+        report = verify.CheckReport(results=(), all_passed=True)
+        assert report.to_text() == "all required checks passed"
+        assert json.loads(report.to_json()) == {"all_passed": True, "config": {}, "results": []}
 
     def test_fields(self):
         r = CheckResult(
