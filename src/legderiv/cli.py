@@ -16,7 +16,7 @@ import click
 
 from . import __version__
 from .exceptions import ConvergenceError, DomainError
-from .orderderiv import _row, p_deriv
+from .orderderiv import _ABOVE_M1, _row, p_deriv
 from .polylog import as_order, as_real
 from .verify import run_suite, trigamma_sum, trigamma_sum_target, DEFAULT_SEED
 
@@ -45,11 +45,9 @@ class TableSpec:
             raise DomainError(f"orders must not repeat, got {self.orders!r}")
         object.__setattr__(self, "orders", orders)
         for name in ("z_start", "z_end"):
-            object.__setattr__(self, name, as_real(getattr(self, name), name))
-        if not -1.0 < self.z_start < self.z_end <= 1.0:
-            raise DomainError(
-                f"need -1 < z_start < z_end <= 1, got {self.z_start!r}, {self.z_end!r}"
-            )
+            object.__setattr__(self, name, as_real(getattr(self, name), name, _ABOVE_M1, 1.0))
+        if not self.z_start < self.z_end:
+            raise DomainError(f"need z_start < z_end, got {self.z_start!r}, {self.z_end!r}")
         object.__setattr__(self, "steps", as_order(self.steps, 2, _MAX_STEPS, "steps"))
         if self.fmt not in ("csv", "json"):
             raise DomainError(f"format must be csv or json, got {self.fmt!r}")

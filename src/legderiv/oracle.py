@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import math
 
-from .exceptions import ConvergenceError, DomainError
-from .orderderiv import _row
+from .exceptions import ConvergenceError
+from .orderderiv import _ABOVE_M1, _row
 from .polylog import as_real
 from .quadrature import _integrate
 
@@ -47,9 +47,7 @@ def order_derivatives(z: float) -> tuple[float, float, float, float, float]:
     settled within it.  The least caps that converge are 629 terms at
     z = -0.9 + 2^-53, 124 at -0.5, 55 at 0 and 2 at 1.
     """
-    z = as_real(z, "order_derivatives argument")
-    if not _Z_FLOOR < z <= 1.0:
-        raise DomainError(f"order_derivatives expects z in ({_Z_FLOOR}, 1], got {z!r}")
+    z = as_real(z, "order_derivatives argument", math.nextafter(_Z_FLOOR, 0.0), 1.0)
     x = 0.5 * (1.0 - z)
     # the nu^0..nu^4 coefficients of the term (c) and of the sum (s)
     c0, c1, c2, c3, c4 = s0, s1, s2, s3, s4 = 1.0, 0.0, 0.0, 0.0, 0.0
@@ -88,9 +86,7 @@ def ode_residuals(z: float) -> tuple[float, float, float, float]:
     on the one-point grid (z,), one refinement at tol 1e-12 that every
     moment meets, with P0..P4 from one row of ``p_derivs`` per node.
     """
-    z = as_real(z, "ode_residuals argument")
-    if not -1.0 < z < 1.0:
-        raise DomainError(f"ode_residuals expects z in (-1, 1), got {z!r}")
+    z = as_real(z, "ode_residuals argument", _ABOVE_M1, math.nextafter(1.0, 0.0))
     return _ode_residuals((z,))[0]
 
 

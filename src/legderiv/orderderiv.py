@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 
-from .exceptions import DomainError
 from .polylog import _MIDPOINTS, _SERIES_PIECES, _ZETA3, _li, _piece, _recentred, as_order, as_real
 
 __all__ = [
@@ -63,6 +62,10 @@ __all__ = [
 
 _PI2 = math.pi**2
 _PI4 = math.pi**4
+# Open ends, as the float next to each: z in (-1, 1] (P0 takes z = -1 too), t and x in (0, 1).
+_ABOVE_M1 = math.nextafter(-1.0, 0.0)
+_Z_WHAT = "argument for derivative orders 1..4 (P1 and P3 diverge at -1)"
+_OPEN_UNIT = (math.ulp(0.0), math.nextafter(1.0, 0.0))
 
 
 def _nu_tables() -> dict[int, dict[int, tuple[tuple[float, ...], ...]]]:
@@ -118,18 +121,7 @@ _T_ROWS = {
 
 
 def _check_z(n: int, z: float) -> float:
-    z = z if type(z) is float else as_real(z, "argument")  # as_real, float fast path inline
-    if math.isnan(z):
-        raise DomainError("argument is NaN")
-    if n == 0:
-        if not -1.0 <= z <= 1.0:
-            raise DomainError(f"argument must lie in [-1, 1], got {z!r}")
-    elif not -1.0 < z <= 1.0:
-        raise DomainError(
-            f"argument must lie in (-1, 1] for derivative order {n} "
-            f"(P1 and P3 diverge at -1), got {z!r}"
-        )
-    return z
+    return as_real(z, "argument", -1.0, 1.0) if n == 0 else as_real(z, _Z_WHAT, _ABOVE_M1, 1.0)
 
 
 def p_deriv(n: int, z: float) -> float:
@@ -239,12 +231,7 @@ def frak_I(t: float) -> float:
     The integration constant is fixed so that the endpoint limits are
     frak_I_limit(0) = -pi^4/45 and frak_I_limit(1) = -11 pi^4/360.
     """
-    t = t if type(t) is float else as_real(t, "frak_I argument")  # as_real, float fast path inline
-    if not 0.0 < t < 1.0:
-        raise DomainError(
-            f"frak_I is defined on the open interval (0, 1), got {t!r}; "
-            "endpoint values are provided by frak_I_limit"
-        )
+    t = as_real(t, "frak_I argument (endpoint values: frak_I_limit)", *_OPEN_UNIT)
     return _frak_I(*_frak_kernel(t)[1:])
 
 
@@ -316,13 +303,6 @@ def _first_integral_displays(z: complex, *kernel: complex) -> tuple[complex, ...
             head + tail * (li3t + lult))
 
 
-def _check_unit_interval(x: float) -> float:
-    x = as_real(x, "identity argument")
-    if not 0.0 < x < 1.0:
-        raise DomainError(f"identity arguments must lie in (0, 1), got {x!r}")
-    return x
-
-
 def _identity_residuals(x: float) -> tuple[float, float, float]:
     # The dilog reflection, dilog Landen and three-term trilog residuals at x in (0, 1),
     # over one ln x, ln(1 - x), 1 - x, x/(x - 1) and Li_2(x).
@@ -338,12 +318,12 @@ def _identity_residuals(x: float) -> tuple[float, float, float]:
 
 def dilog_reflection(x: float) -> float:
     """Residual of Li_2(1-x) + Li_2(x) - pi^2/6 + ln(x) ln(1-x); ~0 on (0,1)."""
-    return _identity_residuals(_check_unit_interval(x))[0]
+    return _identity_residuals(as_real(x, "identity argument", *_OPEN_UNIT))[0]
 
 
 def dilog_landen(x: float) -> float:
     """Residual of Li_2(x/(x-1)) + Li_2(x) + ln^2(1-x)/2; ~0 on (0,1)."""
-    return _identity_residuals(_check_unit_interval(x))[1]
+    return _identity_residuals(as_real(x, "identity argument", *_OPEN_UNIT))[1]
 
 
 def trilog_identity(x: float) -> float:
@@ -352,4 +332,4 @@ def trilog_identity(x: float) -> float:
     Li_3(x/(x-1)) + Li_3(1-x) + Li_3(x) - zeta(3)
         = pi^2/6 ln(1-x) - 1/2 ln(x) ln^2(1-x) + 1/6 ln^3(1-x)
     """
-    return _identity_residuals(_check_unit_interval(x))[2]
+    return _identity_residuals(as_real(x, "identity argument", *_OPEN_UNIT))[2]

@@ -56,6 +56,7 @@ __all__ = ["polylog", "zeta_const", "trigamma"]
 _SERIES_CUT = 0.5
 _MIDPOINTS = tuple((2 * i - 15) / 16.0 for i in range(14))
 _RECENTRED_ROWS = 24  # (1/16)^24 = 2^-96: no re-centred table needs more rows
+_FLOAT_MAX = sys.float_info.max
 
 # zeta(3), zeta(4), zeta(5) as literals; zeta(2) = pi^2/6 from math.pi, which
 # rounds correctly where math.pi**4 / 90.0 falls one ulp short of zeta(4).
@@ -106,17 +107,27 @@ def as_order(value: object, lo: int, hi: float, what: str) -> int:
     raise DomainError(f"{what} must be an integer in {lo}..{hi}, got {value!r}")
 
 
-def as_real(value: object, what: str) -> float:
-    """``value`` as a float: any numbers.Real but bool, such as numpy, Fraction or mpmath
-    values.  Raises DomainError otherwise: for a str, a complex or a real past float range."""
-    if type(value) is float:
-        return value
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise DomainError(f"{what} must be a real number in float range, got {value!r}")
+def as_real(value: object, what: str, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """``value`` as a float in [lo, hi]: any numbers.Real but bool, such as numpy, Fraction
+    or mpmath values.  Raises DomainError otherwise: for a str, a complex, a real past float
+    range, NaN or a value outside [lo, hi].  An open end is passed as the float next to it,
+    such as math.nextafter(-1.0, 0.0) for (-1, ...; the message prints it open."""
+    x = value
+    if type(value) is not float:
+        x = math.nan
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            try:
+                x = float(value)
+            except OverflowError:
+                pass
+    if lo <= x <= hi:
+        return x
+    # An end whose outer neighbour prints shorter, such as -0.9999999999999999, stands for
+    # that neighbour, open.
+    below, above = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    left = f"({below!r}" if len(repr(below)) < len(repr(lo)) else f"[{lo!r}"
+    right = f"{above!r})" if len(repr(above)) < len(repr(hi)) else f"{hi!r}]"
+    raise DomainError(f"{what} must be a real number in {left}, {right}, got {value!r}")
 
 
 def _horner(coeffs: tuple[float, ...], u: float) -> float:
@@ -275,12 +286,9 @@ def polylog(s: int, x: float) -> float:
     divergent point (s=1, x=1).
     """
     s = as_order(s, 1, 5, "polylogarithm order")
-    x = x if type(x) is float else as_real(x, "polylog argument")  # as_real, float fast path inline
-    if not -math.inf < x < 1.0:
-        if x != 1.0:
-            raise DomainError(f"polylog requires finite x <= 1, got {x!r}")
-        if s == 1:
-            raise DomainError("Li_1(1) diverges")
+    x = as_real(x, "polylog argument", -_FLOAT_MAX, 1.0)
+    if x == 1.0 and s == 1:
+        raise DomainError("Li_1(1) diverges")
     return _li(s, x)
 
 
@@ -291,7 +299,6 @@ def polylog(s: int, x: float) -> float:
 # s = 2.  Truncating after B_12 leaves a relative error below 7.1e-19 (s = 2)
 # up to 4.8e-16 (s = 5) once x >= 20.
 _ZETA_SHIFT = 20.0
-_TRIGAMMA_MAX = sys.float_info.max
 _ZETA_ROWS = {  # per s, m = 6..1: highest order first
     s: tuple(_BERNOULLI[m - 1] * (math.comb(2 * m + s - 2, s - 1) / (2 * m)) for m in range(6, 0, -1))
     for s in (2, 3, 4, 5)
@@ -319,4 +326,4 @@ def trigamma(k: int) -> float:
     kernel, ``_zeta_tail``.  Within 1e-15 relative (at most 2.2e-16 against
     mpmath over k = 1..199, 300 random k <= 10^6, k = 10^6..10^300, 2^1023).
     """
-    return _zeta_tail(2, float(as_order(k, 1, _TRIGAMMA_MAX, "trigamma argument")))
+    return _zeta_tail(2, float(as_order(k, 1, _FLOAT_MAX, "trigamma argument")))

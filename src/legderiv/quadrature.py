@@ -133,9 +133,7 @@ def _integrate(
             "integration bounds must satisfy a < b with finite b - a and a float between "
             f"them, got {a!r}, {b!r}"
         )
-    # NaN would end refinement at once.
-    if not as_real(tol, "tolerance") >= _MIN_TOL:
-        raise DomainError(f"tolerance must be a number >= {_MIN_TOL:g}, got {tol!r}")
+    tol = as_real(tol, "tolerance", _MIN_TOL)  # NaN would end refinement at once
     if not isinstance(flags, EndpointFlag):
         raise DomainError(f"flags must be an EndpointFlag, got {flags!r}")
 

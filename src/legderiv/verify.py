@@ -58,15 +58,9 @@ _CANCELLATION_GRID = (-0.9, -0.7, -0.5, -0.3, -0.1, 0.1, 0.3, 0.5, 0.7, 0.9)
 
 _TOLS: dict[str, float] = {
     "normalization": 1e-12,
-    "fd_n1": 1e-12,
-    "fd_n2": 1e-12,
-    "fd_n3": 1e-12,
-    "fd_n4": 1e-12,
+    "oracle": 1e-12,
     "closed_form": 1e-12,
-    "ode_n1": 1e-11,
-    "ode_n2": 1e-11,
-    "ode_n3": 1e-11,
-    "ode_n4": 1e-11,
+    "ode": 1e-11,
     "identities": 1e-12,
     "first_integral": 1e-12,
     "antiderivative": 1e-11,
@@ -178,7 +172,7 @@ def check_closed_forms() -> list[CheckResult]:
     for n in range(1, 5):
         devs = [abs(closed[z][n - 1] - values[n]) for z, values in zip(_FD_GRID, oracle)]
         scale = max(abs(values[n]) for values in oracle)
-        results.append(_result(f"closed-form-fd-n{n}", devs, scale, f"fd_n{n}"))
+        results.append(_result(f"closed-form-fd-n{n}", devs, scale, "oracle"))
 
     # Pointwise relative, so that the check is as tight near z = +-1 as at 0;
     # p_derivs' unchecked door _row is p_deriv bit for bit, and is what render_table runs.
@@ -219,7 +213,7 @@ def check_closed_forms() -> list[CheckResult]:
 def check_quadrature_recurrence() -> list[CheckResult]:
     """Residuals of the recurrence integrated twice (``ode_residuals``) on the grid, n = 1..4."""
     rows = zip(*_ode_residuals(_ODE_GRID))
-    return [_result(f"ode-recurrence-n{n}", dev, 1.0, f"ode_n{n}") for n, dev in enumerate(rows, 1)]
+    return [_result(f"ode-recurrence-n{n}", dev, 1.0, "ode") for n, dev in enumerate(rows, 1)]
 
 
 # --- section-2 polylogarithm identities ------------------------------------
@@ -403,7 +397,7 @@ def check_appendix_a(seed: int = DEFAULT_SEED) -> list[CheckResult]:
             "p4-display-constant",
             [abs(v) for v in offsets],
             1.0,
-            "fd_n4",
+            "oracle",
             note=(
                 f"bracket without its pi^4/36 constant misses the oracle by "
                 f"{sum(offsets) / len(offsets):.9f} = -2 pi^4/3 uniformly "

@@ -40,7 +40,7 @@ from legderiv import (
     trilog_identity,
     zeta_const,
 )
-from legderiv.cli import TableSpec, main
+from legderiv.cli import TableSpec, main, render_table
 from legderiv.verify import trigamma_sum
 
 ANY_Z = st.floats() | st.floats(min_value=-1.0, max_value=1.0)
@@ -253,6 +253,66 @@ def test_real_arguments(name):
     for bad in ("0.5", b"0.5", True, np.bool_(True), None, 0.5 + 0j, Decimal("0.5")):
         with pytest.raises(DomainError):
             fn(bad)
+
+
+ABOVE_M1 = math.nextafter(-1.0, 0.0)
+
+
+def table_values(**ends):
+    spec = TableSpec(orders=(0, 1, 2, 3, 4), steps=2, fmt="csv", **ends)
+    return tuple(float(v) for line in render_table(spec).splitlines()[1:] for v in line.split(","))
+
+
+# Every door's real argument: (its call, its interval's ends, the interval as a predicate).
+DOORS = {
+    "p_deriv-n0": (lambda z: p_deriv(0, z), (-1.0, 1.0), lambda z: -1.0 <= z <= 1.0),
+    "p_deriv-n1..4": (
+        lambda z: tuple(p_deriv(n, z) for n in range(1, 5)), (-1.0, 1.0), in_z_domain
+    ),
+    "p_derivs": (p_derivs, (-1.0, 1.0), in_z_domain),
+    "inner_integral_I": (inner_integral_I, (-1.0, 1.0), in_z_domain),
+    "first_integral": (
+        lambda z: (first_integral(1, z), first_integral(2, z)), (-1.0, 1.0), in_z_domain
+    ),
+    "polylog-s1": (
+        lambda x: polylog(1, x), (-sys.float_info.max, 1.0), lambda x: -math.inf < x < 1.0
+    ),
+    "polylog-s2..5": (
+        lambda x: tuple(polylog(s, x) for s in range(2, 6)),
+        (-sys.float_info.max, 1.0),
+        lambda x: -math.inf < x <= 1.0,
+    ),
+    "frak_I": (frak_I, (0.0, 1.0), in_unit_interval),
+    "dilog_reflection": (dilog_reflection, (0.0, 1.0), in_unit_interval),
+    "dilog_landen": (dilog_landen, (0.0, 1.0), in_unit_interval),
+    "trilog_identity": (trilog_identity, (0.0, 1.0), in_unit_interval),
+    "order_derivatives": (order_derivatives, (-0.9, 1.0), lambda z: -0.9 < z <= 1.0),
+    "ode_residuals": (ode_residuals, (-1.0, 1.0), lambda z: -1.0 < z < 1.0),
+    "integrate_tol": (
+        lambda tol: integrate(math.cos, 0.0, 1.0, tol=tol).value, (1e-13, math.inf),
+        lambda tol: tol >= 1e-13,
+    ),
+    "TableSpec-z_start": (
+        lambda z: table_values(z_start=z, z_end=1.0), (-1.0, 1.0), lambda z: -1.0 < z < 1.0
+    ),
+    "TableSpec-z_end": (
+        lambda z: table_values(z_start=ABOVE_M1, z_end=z),
+        (-1.0, 1.0),
+        lambda z: ABOVE_M1 < z <= 1.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("door", list(DOORS))
+def test_domain_ends(door):
+    # each end of the interval, the float on either side of it, +-inf, NaN and
+    # +-float max: hypothesis draws rarely land exactly on an end
+    fn, ends, in_domain = DOORS[door]
+    values = [math.inf, -math.inf, math.nan, sys.float_info.max, -sys.float_info.max]
+    for end in ends:
+        values += [math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf)]
+    for x in values:
+        obeys_contract(fn, (x,), in_domain(x))
 
 
 def finite_or_exit_two(args):

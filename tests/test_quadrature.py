@@ -1,6 +1,7 @@
 """Adaptive quadrature: exactness battery, singular endpoints, error honesty."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,6 +142,9 @@ class TestContracts:
         f = lambda x: 1.0 / (1e-12 + (x - 0.37) ** 2)
         with pytest.raises(ConvergenceError, match="within 8 panels"):
             integrate(f, 0.0, 1.0, tol=1e-10)
+        # a tol that is a Real but not a float reports the same, as the float it stands for
+        with pytest.raises(ConvergenceError, match="tol=1e-10 within 8 panels"):
+            integrate(f, 0.0, 1.0, tol=Fraction(1, 10**10))
 
     def test_nan_integrand_raises(self):
         with pytest.raises(ConvergenceError):
